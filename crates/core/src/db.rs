@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// assert_eq!(db.identify(&stranger), None);
 /// # Ok::<(), probable_cause::BitStringError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FingerprintDb<L, M = crate::PcDistance> {
     entries: Vec<(L, Fingerprint)>,
     /// Packed mirror of `entries` (same order), built on insert so every
@@ -79,6 +79,15 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
     pub fn insert(&mut self, label: L, fingerprint: Fingerprint) {
         self.packed.push(fingerprint.errors().to_packed());
         self.entries.push((label, fingerprint));
+    }
+
+    /// Replaces the fingerprint of entry `id` in place, keeping its label
+    /// and re-packing its mirror. Returns the previous fingerprint, or
+    /// `None` (changing nothing) when `id` does not exist.
+    pub fn replace(&mut self, id: usize, fingerprint: Fingerprint) -> Option<Fingerprint> {
+        let (entry, packed) = (self.entries.get_mut(id)?, self.packed.get_mut(id)?);
+        *packed = fingerprint.errors().to_packed();
+        Some(std::mem::replace(&mut entry.1, fingerprint))
     }
 
     /// Iterates over `(label, fingerprint)` entries in insertion order.
@@ -250,7 +259,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let results = pc_kernels::map_chunked(probes.len(), 1, par, |i| {
             // Each worker scores its probe single-threaded; parallelism
             // lives in the probe dimension.
-            self.best_of_ids(&all, &probes[i], Parallelism::single())
+            self.closest_among(&all, &probes[i], Parallelism::single())
                 .filter(|&(_, d)| d < self.threshold)
         });
         pc_telemetry::counter!("core.db.identify.comparisons")
@@ -268,10 +277,19 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         error_string: &ErrorString,
     ) -> Option<(&L, f64)> {
         let ids: Vec<usize> = ids.collect();
-        self.best_of_ids(&ids, error_string, Parallelism::single())
+        self.closest_among(&ids, error_string, Parallelism::single())
     }
 
-    fn best_of_ids(
+    /// The entry among `ids` closest to `error_string`, regardless of
+    /// threshold: lowest distance, ties broken by label order, as in
+    /// [`identify`](FingerprintDb::identify). `None` when `ids` is empty.
+    /// Scoring runs on `par` threads; the answer is the same for every
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is not an entry of this database.
+    pub fn closest_among(
         &self,
         ids: &[usize],
         error_string: &ErrorString,
@@ -353,6 +371,40 @@ mod tests {
                 "chip {chip}"
             );
         }
+    }
+
+    #[test]
+    fn closest_among_scores_only_the_given_ids() {
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
+        db.insert("near", fp(&[1, 2, 3, 4]));
+        db.insert("far-b", fp(&[1, 2, 90, 91]));
+        db.insert("far-a", fp(&[1, 2, 92, 93]));
+        let probe = es(&[1, 2, 3, 4]);
+        for threads in [1, 4] {
+            let par = Parallelism::new(threads);
+            assert_eq!(db.closest_among(&[0, 1], &probe, par), Some((&"near", 0.0)));
+            // Above the threshold, and an exact tie broken by label order.
+            assert_eq!(
+                db.closest_among(&[1, 2], &probe, par),
+                Some((&"far-a", 0.5))
+            );
+            assert_eq!(db.closest_among(&[], &probe, par), None);
+        }
+    }
+
+    #[test]
+    fn replace_keeps_the_packed_mirror_in_step() {
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
+        db.insert("a", fp(&[1, 2, 3, 4]));
+        db.insert("b", fp(&[50, 60, 70, 80]));
+        let old = db.replace(1, fp(&[10, 11, 12, 13])).unwrap();
+        assert_eq!(old, fp(&[50, 60, 70, 80]));
+        assert_eq!(db.entry(1).unwrap(), (&"b", &fp(&[10, 11, 12, 13])));
+        // Scoring reads the mirror: the new bits match, the old ones no longer do.
+        assert_eq!(db.identify(&es(&[10, 11, 12, 13])), Some(&"b"));
+        assert_eq!(db.identify(&es(&[50, 60, 70, 80])), None);
+        assert_eq!(db.replace(2, fp(&[1])), None);
+        assert_eq!(db.len(), 2);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! deterministic fault injection.
 //!
 //! Seeds a server with a fingerprint database, then arms a seeded
-//! [`pc_faults`] plan that tears connections (`wire.read` / `wire.write`),
-//! panics shard workers (`pool.worker`), and fails scoring tasks
-//! (`store.score`) at a combined rate above 10%. Concurrent clients drive
+//! [`pc_faults`] plan that tears connections (`wire.read` / `wire.write`)
+//! and panics identify scoring (`store.score`) at a combined rate above
+//! 10%. Concurrent clients drive
 //! identify + characterize load through the storm, retrying and reconnecting
 //! as real clients would. The experiment then tears a checkpoint save in
 //! half (`persist.write`) — the in-process stand-in for `kill -9` mid-save —
@@ -18,9 +18,9 @@
 //!   the last completed checkpoint after a save dies mid-write.
 //! - **Availability**: at least 99% of attempts that no fault touched
 //!   succeed (here: all of them — organic failures are zero).
-//! - **Worker panics neither deadlock the pool nor kill the server**: the
-//!   respawn counter shows workers died and came back while requests kept
-//!   being answered.
+//! - **Scoring panics neither deadlock the pool nor kill the server**: the
+//!   panic counter shows scoring panicked while requests kept being
+//!   answered.
 
 use crate::report::{artifact_dir, Report};
 use pc_faults::{self as faults, FaultPlan};
@@ -44,12 +44,11 @@ const REQUESTS_PER_CLIENT: u64 = 60;
 const MAX_ATTEMPTS: u32 = 40;
 const THRESHOLD: f64 = 0.3;
 
-/// The storm: combined per-request injection rate ≈ 14% (wire.read fires on
-/// the read preceding each request, wire.write on each response, pool.worker
-/// and store.score on shard tasks), comfortably above the 10% floor the
-/// experiment promises.
-const SOAK_PLAN: &str =
-    "seed=42;wire.read=p0.06;wire.write=p0.04;pool.worker=p0.02;store.score=p0.02";
+/// The storm: combined per-request injection rate ≈ 12% (wire.read fires on
+/// the read preceding each request, wire.write on each response, and
+/// store.score on each identify, half the requests), above the 10% floor
+/// the experiment promises.
+const SOAK_PLAN: &str = "seed=42;wire.read=p0.06;wire.write=p0.04;store.score=p0.04";
 
 /// Disarms the global fault plan even if the experiment panics mid-storm:
 /// the registry is process-wide, and a leaked plan would poison every later
@@ -89,8 +88,7 @@ fn device_bits(t: u64, i: u64) -> Vec<u64> {
 /// tearing connections is `wire.read`/`wire.write` (and the collateral
 /// failures on a torn connection's remaining in-flight calls). Server-side
 /// errors are injected when they carry the `injected fault at` marker or
-/// report a worker panic, which only `pool.worker`/`store.score` cause in
-/// this run.
+/// report a panic, which only `store.score` causes in this run.
 fn is_injected_failure(outcome: &Result<Response, ClientError>) -> bool {
     match outcome {
         Err(ClientError::Codec(_)) => true,
@@ -204,7 +202,6 @@ pub fn run(out: &Path) -> io::Result<String> {
 
     let config = ServerConfig {
         store: StoreConfig {
-            shards: 4,
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },
@@ -271,9 +268,9 @@ pub fn run(out: &Path) -> io::Result<String> {
         Response::Stats(s) => s,
         other => return Err(fail(format!("expected stats, got {other:?}"))),
     };
-    if stats.worker_respawns == 0 {
+    if stats.worker_panics == 0 {
         return Err(fail(
-            "no worker respawns: pool.worker faults never exercised the containment".into(),
+            "no worker panics: store.score faults never exercised the containment".into(),
         ));
     }
 
@@ -377,7 +374,6 @@ pub fn run(out: &Path) -> io::Result<String> {
     r.kv("wall clock", format!("{elapsed:.2?}"));
     r.section("containment");
     r.kv("worker panics", stats.worker_panics);
-    r.kv("worker respawns", stats.worker_respawns);
     r.kv("organic failures", organic);
     r.kv(
         "availability (non-injected)",

@@ -163,7 +163,6 @@ fn replica_config(dir: &Path, addr: &str) -> ServerConfig {
     ServerConfig {
         addr: addr.to_string(),
         store: StoreConfig {
-            shards: 2,
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },

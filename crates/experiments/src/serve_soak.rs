@@ -69,7 +69,6 @@ pub fn run(out: &Path) -> io::Result<String> {
 
     let config = ServerConfig {
         store: StoreConfig {
-            shards: 4,
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },

@@ -1,7 +1,7 @@
 //! **pc-faults** — seeded, deterministic fault injection.
 //!
 //! A [`FaultPlan`] maps *site names* (stable string keys compiled into the
-//! code, e.g. `persist.write`, `wire.read`, `pool.worker`, `store.score`) to
+//! code, e.g. `persist.write`, `wire.read`, `store.score`) to
 //! a [`Trigger`] (when the site fires) and an [`Action`] (what happens when
 //! it does). Installing a plan arms the process-wide registry; call sites
 //! probe it with [`fail_point`] / [`check`], which cost one atomic load when
@@ -17,7 +17,7 @@
 //! variable:
 //!
 //! ```text
-//! seed=42;persist.write=p0.5;pool.worker=n3;wire.read=p0.1:stall250
+//! seed=42;persist.write=p0.5;store.score=n3;wire.read=p0.1:stall250
 //!         └ fire 50% of probes  └ fire on the 3rd probe only
 //!                                          └ when fired, stall 250 ms instead of failing
 //! ```
@@ -25,7 +25,7 @@
 //! Triggers: `p<prob>` (each probe fires independently with that
 //! probability) or `n<k>` (one-shot: exactly the `k`-th probe fires,
 //! 1-based). Actions: `fail` (default — the site raises its natural error:
-//! an I/O error for persistence and wire sites, a panic for pool sites) or
+//! an I/O error for persistence and wire sites, a panic for `store.score`) or
 //! `stall<ms>` (the probe sleeps, then proceeds — for exercising deadlines
 //! and for holding a save open while a test delivers SIGKILL).
 //!
@@ -59,7 +59,6 @@ pub const SITES: &[&str] = &[
     "persist.load",
     "persist.rename",
     "persist.write",
-    "pool.worker",
     "ring.forward",
     "ring.probe",
     "store.score",
@@ -399,12 +398,12 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_canonical_spec() {
-        let spec = "seed=42;persist.write=p0.5;pool.worker=n3;wire.read=p0.1:stall250";
+        let spec = "seed=42;persist.write=p0.5;store.score=n3;wire.read=p0.1:stall250";
         let plan = FaultPlan::parse(spec).unwrap();
         assert_eq!(plan.seed(), 42);
         assert_eq!(FaultPlan::parse(&plan.to_spec()).unwrap(), plan);
         assert_eq!(
-            plan.sites["pool.worker"],
+            plan.sites["store.score"],
             SiteRule {
                 trigger: Trigger::Nth(3),
                 action: Action::Fail

@@ -262,8 +262,9 @@ fn worker_loop(shared: &'static Shared) {
 /// Runs `task(0)`, `task(1)`, …, `task(tasks - 1)` exactly once each, using
 /// up to `par.threads() - 1` pool workers plus the calling thread. Blocks
 /// until every index has run; propagates the first participant panic exactly
-/// once after all siblings have finished (workers never see a poisoned lock —
-/// there is no result lock to poison).
+/// once after every crew member has finished (workers never see a poisoned
+/// lock — there is no result lock to poison). As on the inline path, a task
+/// nobody had claimed when the caller panicked may not run at all.
 fn run_tasks(par: Parallelism, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     let inline = par.threads() <= 1 || tasks <= 1 || IN_POOL.with(|f| f.get());
     if inline {
@@ -303,7 +304,12 @@ fn run_tasks(par: Parallelism, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         st.active = participants;
         st.epoch = st.epoch.wrapping_add(1);
         st.panic = None;
-        shared.work_cv.notify_all();
+        // One wake per crew seat: waking every parked worker for a one-seat
+        // crew only sends the rest back to sleep. A worker busy elsewhere
+        // sees the new epoch without a wake.
+        for _ in 0..participants {
+            shared.work_cv.notify_one();
+        }
     }
     crate::sched::yield_point("pool.installed");
 
@@ -315,6 +321,13 @@ fn run_tasks(par: Parallelism, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
     crate::sched::yield_point("pool.done");
     let panic = {
         let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        // Every task is claimed (unless the caller panicked, which fails the
+        // job anyway), so a seat no worker has taken yet has nothing left to
+        // run: close the crew and wait only for the members still inside the
+        // job. On a busy host a parked worker can take longer to wake than
+        // the whole job takes.
+        st.active -= participants - st.joined;
+        st.joined = participants;
         while st.active > 0 {
             st = shared.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }

@@ -21,6 +21,7 @@
 //! reports a suspected deadlock when the budget drains, leaking the hung
 //! thread rather than blocking CI on a join that will never return.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Mutex, MutexGuard};
@@ -31,6 +32,9 @@ use std::thread;
 static ARMED: AtomicU64 = AtomicU64::new(0);
 /// Yield-point steps taken since the schedule was armed.
 static STEPS: AtomicU64 = AtomicU64::new(0);
+/// The same steps counted per site, so a test can check the sites it names
+/// without counting steps other threads take elsewhere in the process.
+static SITE_STEPS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
 /// Serializes armed sections across tests (process-wide hooks).
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -56,22 +60,33 @@ fn site_hash(site: &str) -> u64 {
 /// this is one relaxed load. Armed, it takes a step number and yields the
 /// OS scheduler 0–3 times, deterministically in (seed, site, step).
 #[inline]
-pub fn yield_point(site: &str) {
+pub fn yield_point(site: &'static str) {
     let armed = ARMED.load(Ordering::Relaxed);
     if armed == 0 {
         return;
     }
     let step = STEPS.fetch_add(1, Ordering::Relaxed);
+    *site_steps_map().entry(site).or_insert(0) += 1;
     let n = mix(armed ^ site_hash(site) ^ mix(step)) & 3;
     for _ in 0..n {
         thread::yield_now();
     }
 }
 
-/// Yield-point steps taken under the currently/last armed schedule. A
-/// test can assert this is non-zero to prove the hooks actually fired.
-pub fn steps() -> u64 {
-    STEPS.load(Ordering::Relaxed)
+/// The per-site step counts. They are plain counters, so a poisoned lock
+/// is taken over rather than propagated into the hooked code.
+// pc-allow: C004 — poison-recovery helper; callers scope the guard to one statement
+fn site_steps_map() -> MutexGuard<'static, BTreeMap<&'static str, u64>> {
+    SITE_STEPS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Steps the yield point named `site` took under the currently (or last)
+/// armed schedule. A test asserts this is non-zero for each site it names,
+/// to prove the hooks it relies on actually fired.
+pub fn site_steps(site: &str) -> u64 {
+    site_steps_map().get(site).copied().unwrap_or(0)
 }
 
 /// An armed schedule: while alive, every [`yield_point`] perturbs thread
@@ -91,6 +106,7 @@ impl Schedule {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         STEPS.store(0, Ordering::Relaxed);
+        site_steps_map().clear();
         ARMED.store(seed | 1, Ordering::Relaxed);
         Schedule { _serial: guard }
     }
@@ -192,21 +208,25 @@ mod tests {
 
     // One sequential test: arming is process-global, so splitting the
     // armed and disarmed assertions across #[test] fns would race under
-    // the parallel test runner.
+    // the parallel test runner. Other tests in this binary hit the pool's
+    // yield points meanwhile, so it asserts only on its own sites.
     #[test]
     fn armed_schedule_counts_steps_and_disarms_on_drop() {
-        let before = steps();
-        yield_point("test.site");
-        assert_eq!(steps(), before, "disarmed hooks must not count steps");
         {
             let _s = Schedule::arm(42);
             yield_point("test.a");
             yield_point("test.b");
-            assert_eq!(steps(), 2);
+            yield_point("test.b");
+            assert_eq!((site_steps("test.a"), site_steps("test.b")), (1, 2));
         }
-        let after = steps();
+        // The last schedule's counts stay readable; disarmed hooks add none.
+        yield_point("test.a");
         yield_point("test.c");
-        assert_eq!(steps(), after, "dropping the schedule disarms the hooks");
+        assert_eq!(
+            (site_steps("test.a"), site_steps("test.c")),
+            (1, 0),
+            "dropping the schedule disarms the hooks"
+        );
     }
 
     #[test]
@@ -230,13 +250,18 @@ mod tests {
 
     #[test]
     fn run_bounded_reports_a_hang() {
-        let err = run_bounded(64, || {
-            loop {
-                thread::yield_now(); // never finishes; leaked by design
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let spinner_stop = Arc::clone(&stop);
+        let err = run_bounded(64, move || {
+            // Spins until told to stop: far past the poll budget.
+            while !spinner_stop.load(Ordering::Relaxed) {
+                thread::yield_now();
             }
-            #[allow(unreachable_code)]
-            ()
         });
+        stop.store(true, Ordering::Relaxed);
         assert!(err.is_err(), "a spinning workload must trip the watchdog");
     }
 

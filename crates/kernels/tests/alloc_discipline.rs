@@ -51,8 +51,19 @@ fn allocs_for(n: usize, chunk: usize, par: Parallelism) -> usize {
 #[test]
 fn warm_pool_allocations_are_independent_of_chunk_count() {
     let par = Parallelism::new(4);
-    // Warm: first parallel call spawns the worker threads (which allocate).
-    map_chunked(1024, 16, par, |i| i);
+    // Warm: the first parallel call spawns the worker threads, which
+    // allocate as they start. A job the caller can finish alone may end
+    // before they do, so each of these four tasks waits for all four to
+    // start: every worker must join, and so must have started, before the
+    // counting begins.
+    let started = AtomicUsize::new(0);
+    map_chunked(4, 1, par, |i| {
+        started.fetch_add(1, Ordering::SeqCst);
+        while started.load(Ordering::SeqCst) < 4 {
+            std::thread::yield_now();
+        }
+        i
+    });
 
     let n = 100_000;
     // 2 chunks vs 6250 chunks over the same work.

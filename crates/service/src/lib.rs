@@ -7,11 +7,12 @@
 //!
 //! - [`protocol`]: the JSON request/response vocabulary.
 //! - [`codec`]: 4-byte length-prefixed framing with an enforced frame cap.
-//! - [`store`]: the sharded fingerprint store, routed by the core
+//! - [`store`]: one fingerprint database, routed by the core
 //!   [`probable_cause::LshIndex`] so a query pays full modified-Jaccard
 //!   distance only against fingerprints it shares a MinHash band with.
-//! - [`pool`]: a bounded submission queue (explicit `busy` backpressure),
-//!   one dispatcher, and per-shard scoring workers.
+//! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)
+//!   and one dispatcher, which scores runs of identifies on the kernel
+//!   pool.
 //! - [`server`]: the accept loop, per-connection reader/writer threads, and
 //!   graceful drain-on-shutdown with database + index persistence.
 //! - [`client`]: a blocking client (`pc query` and the tests).

@@ -1,39 +1,39 @@
-//! The server's execution engine: a bounded submission queue, one dispatcher
-//! thread, and one worker thread per shard.
+//! The server's execution engine: a bounded submission queue and one
+//! dispatcher thread.
 //!
 //! Connection threads *submit* work and never touch the store. The
-//! dispatcher pops jobs in batches; identifies are scattered to the shard
-//! workers holding the LSH candidates (scoring runs concurrently across
-//! shards, and the last worker to finish merges and replies), while
-//! mutations (characterize, cluster-ingest) execute serially on the
-//! dispatcher itself so writes are deterministic in admission order.
+//! dispatcher pops jobs in batches and walks each batch in admission order.
+//! A run of consecutive identifies is scored side by side on the kernel
+//! pool ([`pc_kernels::map_chunked`], one identify per task), the one
+//! in-process parallel layer; each mutation (characterize, cluster-ingest,
+//! replay) runs serially on the dispatcher between runs. Writes are
+//! therefore deterministic in admission order, and every identify sees
+//! exactly the mutations admitted before it.
 //!
 //! Backpressure is explicit: the queue has a fixed capacity and
 //! [`SubmissionQueue::try_submit`] never blocks — a full queue bounces the
 //! job back so the connection can answer `busy` with a retry hint instead of
 //! stalling the read loop. Closing the queue lets already-admitted jobs
-//! drain: the dispatcher keeps popping until the queue is empty, then the
-//! shard channels close and every worker exits — that is the graceful-drain
-//! half of server shutdown.
+//! drain: the dispatcher keeps popping until the queue is empty, then
+//! exits — that is the graceful-drain half of server shutdown.
 //!
 //! # Panic containment
 //!
-//! A panic while scoring (organic, or injected via the `store.score` /
-//! `pool.worker` fault sites) fails only its own request: the panicking
-//! task marks its scatter-gather as failed so the caller gets an `Error`
-//! response instead of a hung connection, and the worker loop is restarted
-//! under `catch_unwind` — the respawn shows up in [`PoolMetrics`], which
-//! `stats` reports as `worker_panics` / `worker_respawns`.
+//! Every request runs under its own `catch_unwind`. A panic while scoring
+//! (organic, or injected at the `store.score` fault site) or inside a
+//! mutation fails only its own request with an `Error` response, and the
+//! dispatcher keeps serving. [`PoolMetrics`] counts the absorbed panics,
+//! which `stats` reports as `worker_panics`.
 
 use crate::protocol::{Response, TraceBody};
 use crate::store::ShardedStore;
-use parking_lot::Mutex as PlMutex;
+use pc_kernels::Parallelism;
 use pc_telemetry::counter;
 use pc_telemetry::trace::{Stage, TraceBuilder, Tracer};
 use probable_cause::ErrorString;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -101,7 +101,7 @@ pub enum Job {
     Identify {
         /// Request sequence number, echoed in the response.
         seq: u64,
-        /// The output's error string (shared with shard workers).
+        /// The output's error string.
         errors: Arc<ErrorString>,
         /// Response channel.
         reply: Reply,
@@ -294,60 +294,31 @@ impl SubmissionQueue {
     }
 }
 
-/// Panic-and-respawn accounting for the worker set, shared with the server
-/// so `stats` can report it.
+/// Panic accounting for the dispatcher, shared with the server so `stats`
+/// can report it.
 #[derive(Debug, Default)]
 pub struct PoolMetrics {
     panics: AtomicU64,
-    respawns: AtomicU64,
 }
 
 impl PoolMetrics {
-    /// Worker/task panics absorbed (injected or organic) since start.
+    /// Request panics absorbed (injected or organic) since start.
     pub fn worker_panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
     }
-
-    /// Worker loops restarted after a panic since start.
-    pub fn worker_respawns(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
-    }
 }
 
-/// One identify's scatter-gather state, shared by the shard workers scoring
-/// it. The last worker to report merges the partials and replies.
-///
-/// `partials` is a parking-lot mutex: a worker panicking elsewhere must not
-/// poison the gather for its sibling shards.
-struct Gather {
-    seq: u64,
-    remaining: AtomicUsize,
-    partials: PlMutex<Vec<(String, f64)>>,
-    /// First failure message reported by any shard; set once, wins.
-    failure: PlMutex<Option<String>>,
-    reply: Reply,
-    /// The request's stage timer; taken by the last shard to report.
-    trace: PlMutex<Option<Box<TraceBuilder>>>,
-}
-
-struct ShardTask {
-    ids: Vec<u32>,
-    errors: Arc<ErrorString>,
-    gather: Arc<Gather>,
-}
-
-/// The dispatcher + shard-worker thread set over a store and a queue.
+/// The dispatcher thread over a store and a queue.
 pub struct Pool {
     queue: Arc<SubmissionQueue>,
     metrics: Arc<PoolMetrics>,
     dispatcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
-    /// Spawns the dispatcher and one worker per store shard, with `batch_size`
-    /// as the dispatcher's maximum drain per wakeup. The `tracer` receives a
-    /// flight-recorder dump on every absorbed worker panic.
+    /// Spawns the dispatcher, with `batch_size` as its maximum drain per
+    /// wakeup. The `tracer` receives a flight-recorder dump on every
+    /// absorbed request panic.
     pub fn spawn(
         store: Arc<ShardedStore>,
         queue: Arc<SubmissionQueue>,
@@ -355,35 +326,17 @@ impl Pool {
         tracer: Arc<Tracer>,
     ) -> Self {
         let metrics = Arc::new(PoolMetrics::default());
-        let mut senders = Vec::with_capacity(store.num_shards());
-        let mut workers = Vec::with_capacity(store.num_shards());
-        for shard in 0..store.num_shards() {
-            let (tx, rx) = mpsc::channel::<ShardTask>();
-            senders.push(tx);
-            let store = Arc::clone(&store);
-            let metrics = Arc::clone(&metrics);
-            let tracer = Arc::clone(&tracer);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("pc-shard-{shard}"))
-                    .spawn(move || shard_worker(shard, store, rx, metrics, tracer))
-                    // pc-allow: P002 — startup-only spawn, fails before any traffic is accepted
-                    .expect("spawn shard worker"),
-            );
-        }
         let dispatcher_queue = Arc::clone(&queue);
         let dispatcher_metrics = Arc::clone(&metrics);
-        let dispatcher_tracer = Arc::clone(&tracer);
         let dispatcher = thread::Builder::new()
             .name("pc-dispatcher".to_string())
             .spawn(move || {
                 dispatch_loop(
-                    store,
-                    dispatcher_queue,
-                    senders,
+                    &store,
+                    &dispatcher_queue,
                     batch_size,
-                    dispatcher_metrics,
-                    dispatcher_tracer,
+                    &dispatcher_metrics,
+                    &tracer,
                 )
             })
             // pc-allow: P002 — startup-only spawn, fails before any traffic is accepted
@@ -392,36 +345,40 @@ impl Pool {
             queue,
             metrics,
             dispatcher: Some(dispatcher),
-            workers,
         }
     }
 
-    /// The pool's panic/respawn accounting, shared with the caller.
+    /// The pool's panic accounting, shared with the caller.
     pub fn metrics(&self) -> Arc<PoolMetrics> {
         Arc::clone(&self.metrics)
     }
 
     /// Closes the queue and blocks until every admitted job has been
-    /// answered and all threads have exited.
+    /// answered and the dispatcher has exited.
     pub fn drain_and_join(mut self) {
         self.queue.close();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
+/// An identify waiting in the dispatcher's current run.
+struct PendingIdentify {
+    seq: u64,
+    errors: Arc<ErrorString>,
+    reply: Reply,
+    trace: Option<Box<TraceBuilder>>,
+}
+
 fn dispatch_loop(
-    store: Arc<ShardedStore>,
-    queue: Arc<SubmissionQueue>,
-    senders: Vec<mpsc::Sender<ShardTask>>,
+    store: &ShardedStore,
+    queue: &SubmissionQueue,
     batch_size: usize,
-    metrics: Arc<PoolMetrics>,
-    tracer: Arc<Tracer>,
+    metrics: &PoolMetrics,
+    tracer: &Tracer,
 ) {
+    let mut run = Vec::new();
     while let Some(batch) = queue.pop_batch(batch_size) {
         counter!("service.dispatch.batches").incr();
         counter!("service.dispatch.jobs").add(batch.len() as u64);
@@ -431,72 +388,37 @@ fn dispatch_loop(
             if let Some(tb) = job.trace_mut() {
                 tb.record_lap(Stage::QueueWait);
             }
-            match job {
+            if !matches!(job, Job::Identify { .. }) {
+                // A mutation sees every identify admitted before it
+                // answered, and none admitted after.
+                serve_identifies(store, &mut run, metrics, tracer);
+            }
+            // Mutations run under catch_unwind so a poisoned observation
+            // cannot take down the dispatcher, the one thread the whole pool
+            // depends on.
+            let (seq, reply, trace, response) = match job {
                 Job::Identify {
                     seq,
                     errors,
                     reply,
-                    mut trace,
+                    trace,
                 } => {
-                    let (plan, total) = store.plan_identify(&errors);
-                    if total == 0 {
-                        // No band collision anywhere: a certain miss.
-                        let response = apply_trace(&mut trace, Response::NoMatch { closest: None });
-                        let _ = reply.send(Outbound {
-                            seq,
-                            response,
-                            trace,
-                        });
-                        continue;
-                    }
-                    let busy: Vec<(usize, Vec<u32>)> = plan
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(_, ids)| !ids.is_empty())
-                        .collect();
-                    let gather = Arc::new(Gather {
+                    run.push(PendingIdentify {
                         seq,
-                        remaining: AtomicUsize::new(busy.len()),
-                        partials: PlMutex::new(Vec::with_capacity(busy.len())),
-                        failure: PlMutex::new(None),
+                        errors,
                         reply,
-                        trace: PlMutex::new(trace),
+                        trace,
                     });
-                    for (shard, ids) in busy {
-                        let task = ShardTask {
-                            ids,
-                            errors: Arc::clone(&errors),
-                            gather: Arc::clone(&gather),
-                        };
-                        // Workers survive panics (their loops respawn), so
-                        // the channel only closes at pool teardown — but a
-                        // missing or closed channel must fail this request,
-                        // not the dispatcher.
-                        let sent = senders
-                            .get(shard)
-                            .map(|tx| tx.send(task))
-                            .filter(|sent| sent.is_ok());
-                        if sent.is_none() {
-                            finish_shard(
-                                &store,
-                                &gather,
-                                None,
-                                Some(format!("shard {shard} unavailable; request dropped")),
-                            );
-                        }
-                    }
+                    continue;
                 }
                 Job::Characterize {
                     seq,
                     label,
                     errors,
                     reply,
-                    mut trace,
+                    trace,
                     wseq,
                 } => {
-                    // The mutation runs under catch_unwind so a poisoned
-                    // observation cannot take down the dispatcher — the one
-                    // thread the whole pool depends on.
                     let outcome =
                         catch_unwind(AssertUnwindSafe(|| store.characterize(&label, &errors)));
                     // Advance the replay-dedup watermark whenever the
@@ -516,27 +438,15 @@ fn dispatch_loop(
                         Ok(Err(e)) => Response::Error {
                             message: e.to_string(),
                         },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "characterize panicked; request dropped".to_string(),
-                            }
-                        }
+                        Err(_) => panicked(metrics, tracer, "characterize"),
                     };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
+                    (seq, reply, trace, response)
                 }
                 Job::ClusterIngest {
                     seq,
                     errors,
                     reply,
-                    mut trace,
+                    trace,
                     wseq,
                 } => {
                     let outcome = catch_unwind(AssertUnwindSafe(|| store.cluster_ingest(&errors)));
@@ -552,161 +462,85 @@ fn dispatch_loop(
                         Ok(Err(e)) => Response::Error {
                             message: e.to_string(),
                         },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "cluster-ingest panicked; request dropped".to_string(),
-                            }
-                        }
+                        Err(_) => panicked(metrics, tracer, "cluster-ingest"),
                     };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
+                    (seq, reply, trace, response)
                 }
                 Job::Replay {
                     seq,
                     entries,
                     reply,
-                    mut trace,
+                    trace,
                 } => {
                     let outcome = catch_unwind(AssertUnwindSafe(|| store.apply_replay(&entries)));
                     let response = match outcome {
                         Ok((applied, skipped)) => Response::Replayed { applied, skipped },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "replay panicked; request dropped".to_string(),
-                            }
-                        }
+                        Err(_) => panicked(metrics, tracer, "replay"),
                     };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
+                    (seq, reply, trace, response)
                 }
-            }
+            };
+            respond(seq, &reply, trace, response);
         }
-    }
-    // Queue closed and drained; dropping `senders` closes the shard
-    // channels, letting workers finish their backlog and exit.
-}
-
-/// Reports one shard's result into the gather; the last shard to report
-/// merges and replies (an `Error` if any sibling failed).
-fn finish_shard(
-    store: &ShardedStore,
-    gather: &Gather,
-    partial: Option<(String, f64)>,
-    failure: Option<String>,
-) {
-    if let Some(message) = failure {
-        gather.failure.lock().get_or_insert(message);
-    }
-    if let Some(p) = partial {
-        gather.partials.lock().push(p);
-    }
-    if gather.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let response = if let Some(message) = gather.failure.lock().take() {
-            Response::Error { message }
-        } else {
-            let partials = std::mem::take(&mut *gather.partials.lock());
-            match store.merge_verdict(partials) {
-                Ok((label, distance)) => Response::Match { label, distance },
-                Err(closest) => Response::NoMatch { closest },
-            }
-        };
-        let mut trace = gather.trace.lock().take();
-        let response = apply_trace(&mut trace, response);
-        let _ = gather.reply.send(Outbound {
-            seq: gather.seq,
-            response,
-            trace,
-        });
+        serve_identifies(store, &mut run, metrics, tracer);
     }
 }
 
-/// Handles one scatter task. May panic (`pool.worker` fault site, or an
-/// organic scoring panic escaping the inner guard) — but only after the
-/// task's own gather has been failed, so the caller always gets an answer.
-fn handle_shard_task(
-    shard: usize,
+/// Answers `run`, a run of consecutive identifies, leaving it empty. The
+/// identifies are scored side by side on the kernel pool, each under its
+/// own `catch_unwind`.
+fn serve_identifies(
     store: &ShardedStore,
-    task: ShardTask,
+    run: &mut Vec<PendingIdentify>,
     metrics: &PoolMetrics,
     tracer: &Tracer,
 ) {
-    if pc_faults::fail_point("pool.worker") {
-        // Fail the caller first, then die like a real worker panic: the
-        // loop in `shard_worker` respawns us and the request answers
-        // `Error` instead of hanging its connection.
-        metrics.panics.fetch_add(1, Ordering::Relaxed);
-        counter!("service.pool.panics").incr();
-        tracer.dump("worker_panic");
-        finish_shard(
-            store,
-            &task.gather,
-            None,
-            Some("shard scoring failed (worker panicked)".to_string()),
-        );
-        // pc-allow: P003 — deliberate fault-injection site; the gather is already failed
-        panic!("injected fault at pool.worker");
+    if run.is_empty() {
+        return;
     }
-    let scored = catch_unwind(AssertUnwindSafe(|| {
-        if pc_faults::fail_point("store.score") {
-            // pc-allow: P003 — deliberate fault-injection site inside catch_unwind
-            panic!("injected fault at store.score");
-        }
-        store.score_shard(shard, &task.ids, &task.errors)
-    }));
-    match scored {
-        Ok(Ok(best)) => finish_shard(store, &task.gather, best, None),
-        Ok(Err(e)) => finish_shard(store, &task.gather, None, Some(e.to_string())),
-        Err(_) => {
-            metrics.panics.fetch_add(1, Ordering::Relaxed);
-            counter!("service.pool.panics").incr();
-            tracer.dump("worker_panic");
-            finish_shard(
-                store,
-                &task.gather,
-                None,
-                Some("shard scoring failed (worker panicked)".to_string()),
-            );
-        }
+    let probes: Vec<&ErrorString> = run.iter().map(|p| &*p.errors).collect();
+    let verdicts = pc_kernels::map_chunked(probes.len(), 1, Parallelism::auto(), |i| {
+        catch_unwind(AssertUnwindSafe(|| {
+            if pc_faults::fail_point("store.score") {
+                // pc-allow: P003 — deliberate fault-injection site inside catch_unwind
+                panic!("injected fault at store.score");
+            }
+            // pc-allow: P004 — map_chunked hands out indices in 0..probes.len()
+            store.identify(probes[i])
+        }))
+    });
+    for (pending, verdict) in run.drain(..).zip(verdicts) {
+        let response = match verdict {
+            Ok(Ok(Ok((label, distance)))) => Response::Match { label, distance },
+            Ok(Ok(Err(closest))) => Response::NoMatch { closest },
+            Ok(Err(e)) => Response::Error {
+                message: e.to_string(),
+            },
+            Err(_) => panicked(metrics, tracer, "identify"),
+        };
+        respond(pending.seq, &pending.reply, pending.trace, response);
     }
 }
 
-fn shard_worker(
-    shard: usize,
-    store: Arc<ShardedStore>,
-    rx: mpsc::Receiver<ShardTask>,
-    metrics: Arc<PoolMetrics>,
-    tracer: Arc<Tracer>,
-) {
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            while let Ok(task) = rx.recv() {
-                handle_shard_task(shard, &store, task, &metrics, &tracer);
-            }
-        }));
-        match run {
-            // Channel closed: pool teardown, exit cleanly.
-            Ok(()) => break,
-            // A task panicked through: restart the receive loop.
-            Err(_) => {
-                metrics.respawns.fetch_add(1, Ordering::Relaxed);
-                counter!("service.pool.respawns").incr();
-            }
-        }
+/// Counts an absorbed request panic, dumps the flight recorder, and builds
+/// the request's `Error` answer.
+fn panicked(metrics: &PoolMetrics, tracer: &Tracer, op: &str) -> Response {
+    metrics.panics.fetch_add(1, Ordering::Relaxed);
+    counter!("service.pool.panics").incr();
+    tracer.dump("worker_panic");
+    Response::Error {
+        message: format!("{op} panicked; request dropped"),
     }
+}
+
+/// Sends `response` (traced, if the request asked) to the job's connection.
+fn respond(seq: u64, reply: &Reply, mut trace: Option<Box<TraceBuilder>>, response: Response) {
+    let response = apply_trace(&mut trace, response);
+    let _ = reply.send(Outbound {
+        seq,
+        response,
+        trace,
+    });
 }
 
 #[cfg(test)]
@@ -724,7 +558,6 @@ mod tests {
 
     fn store_with_chips(n: u64) -> Arc<ShardedStore> {
         let store = ShardedStore::new(StoreConfig {
-            shards: 3,
             threshold: 0.3,
             ..StoreConfig::default()
         });
@@ -804,6 +637,36 @@ mod tests {
             Response::Characterized { created: true, .. }
         ));
         pool.drain_and_join();
+    }
+
+    #[test]
+    fn store_errors_answer_error_frames() {
+        // An index naming an entry the database does not hold.
+        let db = store_with_chips(2).to_db();
+        let mut index = probable_cause::LshIndex::new(16, 4, 0x5eed);
+        index.insert(0, &es(&chip_bits(0)));
+        index.insert(7, &es(&chip_bits(1)));
+        let store = ShardedStore::open(StoreConfig::default(), db, Some(index));
+        let queue = Arc::new(SubmissionQueue::new(4));
+        let (tx, rx) = mpsc::channel::<Outbound>();
+        queue
+            .try_submit(Job::Identify {
+                seq: 1,
+                errors: Arc::new(es(&chip_bits(1))),
+                reply: tx,
+                trace: None,
+            })
+            .ok()
+            .unwrap();
+        let pool = Pool::spawn(Arc::new(store), queue, 4, Arc::new(Tracer::disabled()));
+        pool.drain_and_join();
+        let out = rx.recv().unwrap();
+        assert_eq!(
+            out.response,
+            Response::Error {
+                message: "store has no entry 7".to_string()
+            }
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub struct NodeStatus {
 /// Ring topology snapshot reported by [`Response::RingStatus`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RingStatusBody {
-    /// `"router"` for the routing tier, `"replica"` for a shard server.
+    /// `"router"` for the routing tier, `"replica"` for a `pc serve` replica.
     pub role: String,
     /// The responder's identity (replica id or router address).
     pub id: String,
@@ -193,22 +193,18 @@ pub struct RingStatusBody {
 /// Server statistics reported by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsBody {
-    /// Fingerprints stored across all shards.
+    /// Fingerprints stored.
     pub fingerprints: u64,
     /// Clusters formed by `cluster-ingest` so far.
     pub clusters: u64,
-    /// Number of shards.
-    pub shards: u64,
     /// Requests admitted to the submission queue since start.
     pub admitted: u64,
     /// Requests rejected with `busy` since start.
     pub rejected: u64,
-    /// Full distance evaluations paid by shard workers since start.
+    /// Full distance evaluations paid by identify scoring since start.
     pub distance_evals: u64,
-    /// Shard-worker panics absorbed (injected or organic) since start.
+    /// Request panics absorbed (injected or organic) since start.
     pub worker_panics: u64,
-    /// Shard-worker loops respawned after a panic since start.
-    pub worker_respawns: u64,
     /// Whether the store is serving in degraded (linear-scan) mode while
     /// its routing index rebuilds.
     pub degraded: bool,
@@ -781,12 +777,10 @@ pub fn encode_response(seq: u64, response: &Response) -> JsonObject {
             obj.set("kind", "stats");
             obj.set("fingerprints", s.fingerprints);
             obj.set("clusters", s.clusters);
-            obj.set("shards", s.shards);
             obj.set("admitted", s.admitted);
             obj.set("rejected", s.rejected);
             obj.set("distance_evals", s.distance_evals);
             obj.set("worker_panics", s.worker_panics);
-            obj.set("worker_respawns", s.worker_respawns);
             obj.set("degraded", s.degraded);
         }
         Response::Saved { fingerprints } => {
@@ -926,14 +920,12 @@ pub fn decode_response(frame: &JsonValue) -> Result<(u64, Response), ProtocolErr
         "stats" => Response::Stats(StatsBody {
             fingerprints: get_u64(obj, "fingerprints")?,
             clusters: get_u64(obj, "clusters")?,
-            shards: get_u64(obj, "shards")?,
             admitted: get_u64(obj, "admitted")?,
             rejected: get_u64(obj, "rejected")?,
             distance_evals: get_u64(obj, "distance_evals")?,
             // Resilience fields arrived with the fault-injection work; older
             // servers simply do not report them.
             worker_panics: get_u64(obj, "worker_panics").unwrap_or(0),
-            worker_respawns: get_u64(obj, "worker_respawns").unwrap_or(0),
             degraded: obj
                 .get("degraded")
                 .and_then(JsonValue::as_bool)
@@ -1072,12 +1064,10 @@ mod tests {
             Response::Stats(StatsBody {
                 fingerprints: 1,
                 clusters: 2,
-                shards: 3,
                 admitted: 4,
                 rejected: 5,
                 distance_evals: 6,
                 worker_panics: 7,
-                worker_respawns: 8,
                 degraded: true,
             }),
             Response::Metrics(MetricsBody {

@@ -25,9 +25,12 @@
 //! be healed by replaying its pending entries in original order. The
 //! sequence tags make that replay idempotent: a replica that kept its
 //! state skips entries at or below its applied-write watermark instead
-//! of refining the same observations twice.
+//! of refining the same observations twice. Each journal operation is a
+//! named [`sched::yield_point`], so the schedule explorer can perturb the
+//! router's journal protocol.
 
 use crate::protocol::{ReplayEntry, SequencedEntry};
+use pc_kernels::sched;
 use pc_stats::mix64;
 use probable_cause::ErrorString;
 use std::collections::VecDeque;
@@ -344,6 +347,7 @@ pub struct Journal {
 impl Journal {
     /// Appends one mutation under the router's write sequence `seq`.
     pub fn push(&mut self, seq: u64, entry: ReplayEntry) {
+        sched::yield_point("journal.push");
         self.entries.push_back(SequencedEntry { seq, entry });
         self.appended = self.appended.saturating_add(1);
     }
@@ -355,6 +359,7 @@ impl Journal {
     /// [`appended`](Self::appended); retractions are counted separately
     /// by the caller.
     pub fn retract_last(&mut self) {
+        sched::yield_point("journal.retract");
         self.entries.pop_back();
     }
 
@@ -382,6 +387,7 @@ impl Journal {
     /// first. The journal keeps them until [`truncate`](Self::truncate) —
     /// replay alone is not durable.
     pub fn snapshot(&mut self) -> Vec<SequencedEntry> {
+        sched::yield_point("journal.snapshot");
         self.replayed = self.replayed.saturating_add(self.entries.len() as u64);
         self.entries.iter().cloned().collect()
     }
@@ -389,6 +395,7 @@ impl Journal {
     /// Drops the oldest `n` entries after the replica acknowledged a
     /// durability checkpoint covering them.
     pub fn truncate(&mut self, n: usize) {
+        sched::yield_point("journal.truncate");
         let n = n.min(self.entries.len());
         self.entries.drain(..n);
     }

@@ -9,7 +9,7 @@
 //!                                 ▼
 //!                    SubmissionQueue (bounded)
 //!                                 │ pop_batch
-//!                         pc-dispatcher ── scatter ──▶ pc-shard-S …
+//!                         pc-dispatcher ── identify runs ──▶ kernel pool
 //! ```
 //!
 //! Shutdown can be triggered three ways — a `shutdown` request on any
@@ -17,8 +17,8 @@
 //! always graceful: the accept loop stops taking connections, every
 //! connection's read half is closed so no *new* requests arrive, the queue
 //! drains every already-admitted job (their responses still flow out through
-//! the per-connection writers), shard workers and dispatcher join, and the
-//! database + routing index are persisted (atomically, see
+//! the per-connection writers), the dispatcher joins, and the database +
+//! routing index are persisted (atomically, see
 //! [`probable_cause::persistence`]) if paths were configured.
 //!
 //! Resilience: connections carry idle and per-frame read deadlines (the
@@ -145,12 +145,10 @@ impl Shared {
         StatsBody {
             fingerprints: self.store.len() as u64,
             clusters: self.store.cluster_count() as u64,
-            shards: self.store.num_shards() as u64,
             admitted: self.queue.admitted(),
             rejected: self.queue.rejected(),
             distance_evals: self.store.distance_evals(),
             worker_panics: self.pool_metrics.worker_panics(),
-            worker_respawns: self.pool_metrics.worker_respawns(),
             degraded: self.store.degraded(),
         }
     }
@@ -402,17 +400,11 @@ fn load_store(config: &ServerConfig) -> io::Result<ShardedStore> {
             }
         }
     });
-    if let Some(index) = index_recovered {
-        match ShardedStore::from_db_with_index(config.store.clone(), &db.value, index) {
-            Ok(store) => return Ok(store),
-            Err(_) => counter!("service.recovery.index_mismatch").incr(),
-        }
+    let store = ShardedStore::open(config.store.clone(), db.value, index_recovered);
+    if store.degraded() {
+        counter!("service.recovery.degraded_start").incr();
     }
-    counter!("service.recovery.degraded_start").incr();
-    Ok(ShardedStore::from_db_degraded(
-        config.store.clone(),
-        &db.value,
-    ))
+    Ok(store)
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Pool) -> io::Result<()> {

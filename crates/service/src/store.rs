@@ -1,16 +1,14 @@
-//! The server's sharded fingerprint store.
+//! The server's fingerprint store: one [`FingerprintDb`], the [`LshIndex`]
+//! that routes identifies, and the online cluster book.
 //!
-//! Fingerprints live in `num_shards` shards; the entry with global id `g`
-//! sits in shard `g % num_shards` at slot `g / num_shards`, so ids are dense
-//! per shard and the global insertion order (the coordinate system of the
-//! core [`LshIndex`] and of [`probable_cause::persistence`]) is recoverable.
-//!
-//! Reads (identify scoring) take per-shard read locks and run concurrently
-//! across shards; mutations (characterize, cluster-ingest) are already
-//! serialized by the dispatcher thread (see [`crate::pool`]) and take the
-//! narrow write locks they need. The [`LshIndex`] routes every identify to
-//! the candidate ids that share a MinHash band with the query, so only those
-//! pay full modified-Jaccard distance.
+//! Entry ids are the database's insertion order, the coordinate system of
+//! the index and of [`probable_cause::persistence`]. An identify asks the
+//! index for the ids sharing a MinHash band with the query, so only those
+//! pay full modified-Jaccard distance, and scores them through
+//! [`FingerprintDb::closest_among`] under the database's read lock; the
+//! dispatcher (see [`crate::pool`]) runs many identifies side by side on
+//! the kernel pool. Mutations (characterize, cluster-ingest) are serialized
+//! by the dispatcher and take the write locks they need.
 
 use parking_lot::{Mutex, RwLock};
 use pc_kernels::{distance_packed, MetricKind, PackedErrors, Parallelism};
@@ -21,15 +19,13 @@ use probable_cause::{
     DistanceMetric, ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Store geometry and matching parameters.
+/// Routing and matching parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of shards (and shard worker threads).
-    pub shards: usize,
     /// MinHash bands for the routing index.
     pub bands: usize,
     /// Rows per band.
@@ -45,7 +41,6 @@ impl Default for StoreConfig {
         // 16×4 banding: a same-chip pair at Jaccard similarity 0.9 is missed
         // with probability ~5e-8; unrelated chips essentially never collide.
         Self {
-            shards: 4,
             bands: 16,
             rows_per_band: 4,
             index_seed: 0x5eed,
@@ -59,17 +54,15 @@ impl Default for StoreConfig {
 /// `catch_unwind` net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// A plan referenced a shard the store does not have.
+    /// A plan group other than the store's one (group 0) was scored.
     MissingShard {
-        /// The out-of-range shard index.
+        /// The out-of-range group.
         shard: usize,
     },
-    /// A plan referenced a slot its shard does not have.
-    MissingSlot {
-        /// The shard that was asked.
-        shard: usize,
-        /// The out-of-range slot.
-        slot: usize,
+    /// A candidate id the database does not hold (index drift).
+    MissingEntry {
+        /// The missing entry id.
+        id: usize,
     },
     /// A cluster id vanished between match and refine.
     MissingCluster {
@@ -84,11 +77,9 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::MissingShard { shard } => {
-                write!(f, "store shard {shard} does not exist")
+                write!(f, "store plan group {shard} does not exist")
             }
-            StoreError::MissingSlot { shard, slot } => {
-                write!(f, "store shard {shard} has no slot {slot}")
-            }
+            StoreError::MissingEntry { id } => write!(f, "store has no entry {id}"),
             StoreError::MissingCluster { cluster } => {
                 write!(f, "cluster {cluster} does not exist")
             }
@@ -99,43 +90,40 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Candidate-set size at which a shard scan borrows the kernel thread pool.
-/// Routine LSH-routed identifies shortlist far fewer candidates than this
-/// and stay on the shard worker; degraded full scans cross it.
+/// An identify's outcome: `Ok((label, distance))` when the closest
+/// candidate clears the threshold, `Err(closest)` otherwise (with the
+/// closest candidate scored, if any).
+pub type Verdict = Result<(String, f64), Option<(String, f64)>>;
+
+/// Candidate-set size at which one identify's scoring borrows the kernel
+/// pool. LSH-routed identifies shortlist far fewer candidates than this;
+/// degraded full scans cross it. Inside a dispatcher run, where the pool
+/// already scores identifies side by side, the nested call runs inline.
 const PARALLEL_SCORE_MIN: usize = 4_096;
 
-/// Entries a checkpoint copies out per hold of the shard read locks. Each
-/// hold lasts tens of microseconds; copying one entry per hold instead
-/// made the lock traffic itself visible, raising a concurrent
+/// Entries a checkpoint copies out per hold of the database read lock.
+/// Each hold lasts tens of microseconds; copying one entry per hold
+/// instead made the lock traffic itself visible, raising a concurrent
 /// `characterize`'s p99 about fourfold while saves ran back to back on a
 /// 100k-chip store.
-const SAVE_BATCH: u32 = 64;
+const SAVE_BATCH: usize = 64;
 
-/// One shard's slice of the store, slot-addressed (`slot = id / num_shards`).
-#[derive(Debug, Default)]
-struct Shard {
-    entries: Vec<(String, Fingerprint)>,
-    /// Packed mirror of `entries` (same slots), kept in sync on insert and
-    /// refine so scoring takes the popcount kernels without re-packing.
-    packed: Vec<PackedErrors>,
-}
-
-/// The sharded, index-routed fingerprint store plus the online cluster book.
+/// The index-routed fingerprint store plus the online cluster book. It is
+/// one partition; the name is kept for API compatibility.
 #[derive(Debug)]
 pub struct ShardedStore {
     config: StoreConfig,
     metric: PcDistance,
-    shards: Vec<RwLock<Shard>>,
+    /// Every fingerprint (id = insertion order) with its packed mirror.
+    db: RwLock<FingerprintDb<String, PcDistance>>,
     index: RwLock<LshIndex>,
-    /// label → global id; also the allocator (`len` = next id).
+    /// label → entry id. Held across every `characterize` and every index
+    /// rebuild, so the two never interleave.
     labels: Mutex<BTreeMap<String, u32>>,
     /// Algorithm 4 state for `cluster-ingest`: each cluster's fingerprint
     /// with its packed mirror (rebuilt on refine).
     clusters: Mutex<Vec<(Fingerprint, PackedErrors)>>,
     distance_evals: AtomicU64,
-    /// Entry count mirrored outside the `labels` lock, so degraded-mode
-    /// identify planning never blocks behind a rebuild holding that lock.
-    entry_count: AtomicU64,
     /// Degraded mode: the routing index is absent or rebuilding; identifies
     /// fall back to a full linear scan and index writes are skipped.
     degraded: AtomicBool,
@@ -152,59 +140,84 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is zero, the banding is zero, or the
-    /// threshold is outside `(0, 1]`.
+    /// Panics if the banding is zero or the threshold is outside `(0, 1]`.
     pub fn new(config: StoreConfig) -> Self {
-        assert!(config.shards > 0, "store needs at least one shard");
-        assert!(
-            config.threshold > 0.0 && config.threshold <= 1.0,
-            "threshold must be in (0, 1], got {}",
-            config.threshold
-        );
-        let shards = (0..config.shards)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect();
+        let db = FingerprintDb::new(PcDistance::new(), config.threshold);
         let index = LshIndex::new(config.bands, config.rows_per_band, config.index_seed);
+        Self::open(config, db, Some(index))
+    }
+
+    /// Builds a store that owns `db` and adopts `index` as its routing
+    /// index, taking the index's banding and the database's threshold;
+    /// neither is cloned, re-packed or re-signed. Without an index, or with
+    /// one that does not cover exactly the database's entries, the store
+    /// starts degraded: identifies answer by linear scan until
+    /// [`ShardedStore::rebuild_index`] (typically on a background thread)
+    /// restores routed serving.
+    pub fn open(
+        config: StoreConfig,
+        db: FingerprintDb<String, PcDistance>,
+        index: Option<LshIndex>,
+    ) -> Self {
+        let mut config = config;
+        config.threshold = db.threshold();
+        let index = index.filter(|index| {
+            let covers = index.len() == db.len();
+            if !covers {
+                counter!("service.recovery.index_mismatch").incr();
+            }
+            covers
+        });
+        if let Some(index) = &index {
+            config.bands = index.bands();
+            config.rows_per_band = index.rows_per_band();
+            config.index_seed = index.seed();
+        }
+        let degraded = index.is_none();
+        let index = index.unwrap_or_else(|| {
+            LshIndex::new(config.bands, config.rows_per_band, config.index_seed)
+        });
+        let labels = db
+            .iter()
+            .enumerate()
+            .map(|(id, (label, _))| (label.clone(), id as u32))
+            .collect();
         Self {
             config,
             metric: PcDistance::new(),
-            shards,
+            db: RwLock::new(db),
             index: RwLock::new(index),
-            labels: Mutex::new(BTreeMap::new()),
+            labels: Mutex::new(labels),
             clusters: Mutex::new(Vec::new()),
             distance_evals: AtomicU64::new(0),
-            entry_count: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
+            degraded: AtomicBool::new(degraded),
             applied_wseq: AtomicU64::new(0),
         }
     }
 
-    /// Creates a store pre-loaded from `db` (global id = the database's
-    /// insertion order) with a freshly built routing index.
-    pub fn from_db(config: StoreConfig, db: &FingerprintDb<String, PcDistance>) -> Self {
-        let mut config = config;
-        config.threshold = db.threshold();
-        let store = Self::new(config);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
+    /// Builds a store from a copy of `db` and the persisted `index`,
+    /// validating that they agree on the entry count.
+    ///
+    /// # Errors
+    ///
+    /// A mismatch error when the index does not cover exactly the database's
+    /// entries.
+    pub fn from_db_with_index(
+        config: StoreConfig,
+        db: &FingerprintDb<String, PcDistance>,
+        index: LshIndex,
+    ) -> Result<Self, DbIoError> {
+        if index.len() != db.len() {
+            return Err(DbIoError::BadFormat {
+                line: 0,
+                message: format!(
+                    "index covers {} entries but database has {}",
+                    index.len(),
+                    db.len()
+                ),
+            });
         }
-        store
-    }
-
-    /// Creates a store from `db` in degraded mode: entries load without
-    /// index signing, identifies answer by linear scan, and a later
-    /// [`ShardedStore::rebuild_index`] (typically on a background thread)
-    /// restores routed serving. This is the recovery path when the index
-    /// file is damaged but the database survived.
-    pub fn from_db_degraded(config: StoreConfig, db: &FingerprintDb<String, PcDistance>) -> Self {
-        let mut config = config;
-        config.threshold = db.threshold();
-        let store = Self::new(config);
-        store.degraded.store(true, Ordering::Release);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
-        }
-        store
+        Ok(Self::open(config, db.clone(), Some(index)))
     }
 
     /// The store's configuration.
@@ -217,15 +230,10 @@ impl ShardedStore {
         self.config.threshold
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.config.shards
-    }
-
-    /// Fingerprints stored across all shards. Lock-free, so stats stay
-    /// responsive while an index rebuild holds the label book.
+    /// Fingerprints stored. Takes only the database read lock, so stats
+    /// stay responsive while an index rebuild holds the label book.
     pub fn len(&self) -> usize {
-        self.entry_count.load(Ordering::Acquire) as usize
+        self.db.read().len()
     }
 
     /// Whether identifies are serving by linear scan while the routing
@@ -249,90 +257,53 @@ impl ShardedStore {
         self.distance_evals.load(Ordering::Relaxed)
     }
 
-    fn shard_of(&self, id: u32) -> usize {
-        id as usize % self.config.shards
-    }
-
-    fn slot_of(&self, id: u32) -> usize {
-        id as usize / self.config.shards
-    }
-
-    /// The shard lock owning `id`.
-    fn shard_for(&self, id: u32) -> &RwLock<Shard> {
-        // pc-allow: P004 — shard_of is `id % shards`, always in range
-        &self.shards[self.shard_of(id)]
-    }
-
     /// The packed-kernel form of the metric. [`PcDistance`] always has one;
     /// the fallback only exists to keep this path panic-free.
     fn kind(&self) -> MetricKind {
         self.metric.kind().unwrap_or(MetricKind::PcJaccard)
     }
 
-    /// Inserts a brand-new labelled fingerprint, allocating its global id.
-    /// The caller must have verified the label is unused.
-    fn insert_new(&self, label: String, fp: Fingerprint) -> u32 {
-        let mut labels = self.labels.lock();
-        self.insert_locked(&mut labels, label, fp)
-    }
-
-    /// [`ShardedStore::insert_new`] with the label book already held (the
-    /// `characterize` create path holds it across its whole mutation).
-    fn insert_locked(
-        &self,
-        labels: &mut BTreeMap<String, u32>,
-        label: String,
-        fp: Fingerprint,
-    ) -> u32 {
-        debug_assert!(!labels.contains_key(&label));
-        let id = labels.len() as u32;
-        let mut shard = self.shard_for(id).write();
-        debug_assert_eq!(shard.entries.len(), self.slot_of(id));
-        if !self.degraded.load(Ordering::Acquire) {
-            self.index.write().insert(id, fp.errors());
-        }
-        shard.packed.push(fp.errors().to_packed());
-        shard.entries.push((label.clone(), fp));
-        labels.insert(label, id);
-        // Published only after the shard slot exists, so a degraded linear
-        // scan never plans an id whose entry is not yet in place.
-        self.entry_count
-            .store(labels.len() as u64, Ordering::Release);
-        id
-    }
-
-    /// The LSH candidate ids for `errors`, grouped by shard:
-    /// `plan[s]` holds the candidate ids living in shard `s` (possibly
-    /// empty). Also returns the total candidate count.
-    pub fn plan_identify(&self, errors: &ErrorString) -> (Vec<Vec<u32>>, usize) {
-        let candidates = if self.degraded.load(Ordering::Acquire) {
+    /// The ids `errors` must be scored against: the LSH candidates, or
+    /// every entry while degraded.
+    fn candidates(&self, errors: &ErrorString) -> Vec<u32> {
+        let ids = if self.degraded() {
             // Degraded mode: the index is absent or rebuilding, so score
             // everything — slower, never wrong (LSH only ever prunes).
             counter!("service.store.degraded_scans").incr();
-            (0..self.entry_count.load(Ordering::Acquire) as u32).collect()
+            (0..self.len() as u32).collect()
         } else {
             self.index.read().candidates(errors)
         };
-        let total = candidates.len();
-        let mut plan = vec![Vec::new(); self.config.shards];
-        for id in candidates {
-            if let Some(bucket) = plan.get_mut(self.shard_of(id)) {
-                bucket.push(id);
-            }
-        }
-        counter!("service.store.candidates").add(total as u64);
-        (plan, total)
+        counter!("service.store.candidates").add(ids.len() as u64);
+        ids
     }
 
-    /// Scores `ids` (all living in `shard`) against `errors`, returning the
-    /// shard-local best as `(label, distance)` — lowest distance, ties by
-    /// label order, matching [`FingerprintDb::identify`]'s determinism.
+    /// Indexes entry `id` under `errors`, unless degraded (the rebuild
+    /// will sign it).
+    fn index_entry(&self, id: u32, errors: &ErrorString) {
+        if !self.degraded() {
+            self.index.write().insert(id, errors);
+        }
+    }
+
+    /// The LSH candidate ids for `errors` as plan groups for
+    /// [`ShardedStore::score_shard`]: the store is one partition, so one
+    /// group (possibly empty). Also returns the total candidate count.
+    pub fn plan_identify(&self, errors: &ErrorString) -> (Vec<Vec<u32>>, usize) {
+        let ids = self.candidates(errors);
+        let total = ids.len();
+        (vec![ids], total)
+    }
+
+    /// Scores plan group `shard` (the candidate `ids`) against `errors`,
+    /// returning the closest candidate as `(label, distance)`: lowest
+    /// distance, ties by label order, as [`FingerprintDb::identify`] picks.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the plan references a shard or slot the store
-    /// does not have (geometry drift — a bug, but one that must answer an
-    /// `Error` frame rather than panic a worker).
+    /// [`StoreError`] when `shard` is not 0 or an id is not in the
+    /// database (a bug, but one that must answer an `Error` frame rather
+    /// than panic).
     pub fn score_shard(
         &self,
         shard: usize,
@@ -340,83 +311,50 @@ impl ShardedStore {
         errors: &ErrorString,
     ) -> Result<Option<(String, f64)>, StoreError> {
         let _span = pc_telemetry::time!("service.store.score");
-        let Some(lock) = self.shards.get(shard) else {
+        if shard != 0 {
             return Err(StoreError::MissingShard { shard });
-        };
-        let guard = lock.read();
-        let slots: Vec<usize> = ids.iter().map(|&id| self.slot_of(id)).collect();
-        if let Some(&slot) = slots.iter().find(|&&s| s >= guard.packed.len()) {
-            return Err(StoreError::MissingSlot { shard, slot });
         }
-        let kind = self.kind();
-        // Shard workers already run concurrently, so small candidate sets
-        // score single-threaded on the packed kernels. Full-scan-sized sets
-        // (index degraded or rebuilding, router fan-outs) borrow the
-        // persistent kernel pool instead of serializing a whole shard scan
-        // onto one worker — the pool runs one job at a time, so concurrent
-        // shard scans queue rather than oversubscribe.
-        let par = if slots.len() >= PARALLEL_SCORE_MIN {
+        let ids: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+        let db = self.db.read();
+        if let Some(&id) = ids.iter().find(|&&id| id >= db.len()) {
+            return Err(StoreError::MissingEntry { id });
+        }
+        let par = if ids.len() >= PARALLEL_SCORE_MIN {
             Parallelism::auto()
         } else {
             Parallelism::single()
         };
-        let distances =
-            pc_kernels::score_subset(&guard.packed, &slots, &errors.to_packed(), kind, par);
-        add_comparisons(kind, slots.len() as u64);
-        let mut best: Option<(&str, f64)> = None;
-        for (&slot, &d) in slots.iter().zip(&distances) {
-            let Some(entry) = guard.entries.get(slot) else {
-                return Err(StoreError::MissingSlot { shard, slot });
-            };
-            let label = entry.0.as_str();
-            let better = match best {
-                None => true,
-                Some((bl, bd)) => d < bd || (d == bd && label < bl),
-            };
-            if better {
-                best = Some((label, d));
-            }
-        }
+        let best = db
+            .closest_among(&ids, errors, par)
+            .map(|(label, d)| (label.clone(), d));
         self.distance_evals
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         counter!("service.store.distance_evals").add(ids.len() as u64);
-        Ok(best.map(|(l, d)| (l.to_string(), d)))
+        Ok(best)
     }
 
-    /// Merges per-shard bests into the final verdict: `Ok((label, distance))`
-    /// when the global best clears the threshold, `Err(closest)` otherwise
-    /// (with the closest candidate scored, if any).
-    pub fn merge_verdict(
-        &self,
-        partials: impl IntoIterator<Item = (String, f64)>,
-    ) -> Result<(String, f64), Option<(String, f64)>> {
-        let mut best: Option<(String, f64)> = None;
-        for (label, d) in partials {
-            let better = match &best {
-                None => true,
-                Some((bl, bd)) => d < *bd || (d == *bd && label < *bl),
-            };
-            if better {
-                best = Some((label, d));
-            }
-        }
+    /// The verdict on the closest candidate [`ShardedStore::score_shard`]
+    /// found: a match when it clears the threshold. The store is one
+    /// partition, so a plan has one group and `partials` at most one entry.
+    pub fn merge_verdict(&self, partials: impl IntoIterator<Item = (String, f64)>) -> Verdict {
+        let mut partials = partials.into_iter();
+        let best = partials.next();
+        debug_assert!(partials.next().is_none(), "one plan group, one partial");
         match best {
             Some((label, d)) if d < self.config.threshold => Ok((label, d)),
             other => Err(other),
         }
     }
 
-    /// Single-threaded identify (planning, scoring, and merging in one call):
-    /// the reference the scatter-gather path must agree with, also used for
-    /// inline scoring in tests.
-    pub fn identify(&self, errors: &ErrorString) -> Result<(String, f64), Option<(String, f64)>> {
-        let (plan, _) = self.plan_identify(errors);
-        let partials = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, ids)| !ids.is_empty())
-            .filter_map(|(s, ids)| self.score_shard(s, ids, errors).ok().flatten());
-        self.merge_verdict(partials)
+    /// Answers one identify: plans, scores the candidates, and applies the
+    /// threshold.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when a candidate is missing from the database.
+    pub fn identify(&self, errors: &ErrorString) -> Result<Verdict, StoreError> {
+        let best = self.score_shard(0, &self.candidates(errors), errors)?;
+        Ok(self.merge_verdict(best))
     }
 
     /// Incremental Algorithm 1: refines the labelled fingerprint with one
@@ -437,58 +375,41 @@ impl ShardedStore {
         // mutation lands either fully before or fully after the rebuild's
         // snapshot.
         let mut labels = self.labels.lock();
+        let mut db = self.db.write();
         let Some(id) = labels.get(label).copied() else {
             let fp = Fingerprint::from_observation(errors.clone());
             let (weight, observations) = (fp.weight(), fp.observations());
-            self.insert_locked(&mut labels, label.to_string(), fp);
+            let id = db.len() as u32;
+            self.index_entry(id, fp.errors());
+            db.insert(label.to_string(), fp);
+            labels.insert(label.to_string(), id);
             counter!("service.store.characterize.created").incr();
             return Ok((weight, observations, true));
         };
-        let mut shard = self.shard_for(id).write();
-        let slot = self.slot_of(id);
-        let refined = match shard.entries.get(slot) {
-            Some(entry) => entry
-                .1
-                .refine(errors)
-                .map_err(|e| StoreError::Refine(format!("cannot refine {label:?}: {e}")))?,
-            None => {
-                return Err(StoreError::MissingSlot {
-                    shard: self.shard_of(id),
-                    slot,
-                })
-            }
+        let Some((_, fp)) = db.entry(id as usize) else {
+            return Err(StoreError::MissingEntry { id: id as usize });
         };
-        if !self.degraded.load(Ordering::Acquire) {
-            self.index.write().insert(id, refined.errors());
-        }
+        let refined = fp
+            .refine(errors)
+            .map_err(|e| StoreError::Refine(format!("cannot refine {label:?}: {e}")))?;
+        self.index_entry(id, refined.errors());
         let (weight, observations) = (refined.weight(), refined.observations());
-        if let Some(p) = shard.packed.get_mut(slot) {
-            *p = refined.errors().to_packed();
-        }
-        if let Some(entry) = shard.entries.get_mut(slot) {
-            entry.1 = refined;
-        }
+        db.replace(id as usize, refined);
         counter!("service.store.characterize.refined").incr();
         Ok((weight, observations, false))
     }
 
-    /// Rebuilds the routing index from the shard contents, then leaves
-    /// degraded mode. Holds the label book for the duration, so mutations
-    /// queue behind the rebuild while identifies keep serving linear scans.
+    /// Rebuilds the routing index from the database, then leaves degraded
+    /// mode. Holds the label book for the duration, so mutations queue
+    /// behind the rebuild while identifies keep serving linear scans.
     pub fn rebuild_index(&self) {
         let _span = pc_telemetry::time!("service.store.rebuild_index");
         let labels = self.labels.lock();
-        let mut index = LshIndex::new(
+        let index = self.db.read().build_index(
             self.config.bands,
             self.config.rows_per_band,
             self.config.index_seed,
         );
-        for id in 0..labels.len() as u32 {
-            let guard = self.shard_for(id).read();
-            if let Some(entry) = guard.entries.get(self.slot_of(id)) {
-                index.insert(id, entry.1.errors());
-            }
-        }
         *self.index.write() = index;
         self.degraded.store(false, Ordering::Release);
         counter!("service.store.index_rebuilt").incr();
@@ -596,28 +517,13 @@ impl ShardedStore {
         (applied, skipped)
     }
 
-    /// Reconstructs the flat database in global-id order (the persistence
-    /// format's coordinate system).
+    /// A copy of the database (id order, the persistence format's
+    /// coordinate system).
     pub fn to_db(&self) -> FingerprintDb<String, PcDistance> {
-        let labels = self.labels.lock();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut db = FingerprintDb::new(PcDistance::new(), self.config.threshold);
-        for id in 0..labels.len() as u32 {
-            // Geometry cannot drift between the label book and the shards
-            // (both are written under the book's lock), but persistence must
-            // stay panic-free regardless.
-            let Some((label, fp)) = guards
-                .get(self.shard_of(id))
-                .and_then(|g| g.entries.get(self.slot_of(id)))
-            else {
-                continue;
-            };
-            db.insert(label.clone(), fp.clone());
-        }
-        db
+        self.db.read().clone()
     }
 
-    /// Writes the database (global-id order) to `w`.
+    /// Writes the database (id order) to `w`.
     ///
     /// # Errors
     ///
@@ -626,27 +532,22 @@ impl ShardedStore {
         self.stream_db(w).map(|_| ())
     }
 
-    /// Streams the database image (global-id order) from the shards into
-    /// `w`, returning the entries written: the bytes [`persistence::save_db`]
-    /// renders for [`ShardedStore::to_db`], without building that copy.
+    /// Streams the database image (id order) into `w`, returning the
+    /// entries written: the bytes [`persistence::save_db`] renders for
+    /// [`ShardedStore::to_db`], without building that copy.
     ///
-    /// Entries are copied out [`SAVE_BATCH`] at a time under the shard read
-    /// locks, so no store lock is held while the image is rendered or
+    /// Entries are copied out [`SAVE_BATCH`] at a time under the database
+    /// read lock, so no store lock is held while the image is rendered or
     /// written and a concurrent `characterize` waits for at most one
     /// batch's copy. The image covers the ids stored when the save began; a
     /// write racing the save lands in it or not batch by batch (router
     /// checkpoints run under the mutation lock, so none race them).
     fn stream_db<W: Write>(&self, w: W) -> std::io::Result<u64> {
-        // `len` is published only after an entry's slot exists, and a slot
-        // missing from its shard is skipped rather than indexed into.
-        let n = self.len() as u32;
-        let batches = (0..n).step_by(SAVE_BATCH as usize).map(|start| {
-            let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-            (start..n.min(start.saturating_add(SAVE_BATCH)))
-                .filter_map(|id| {
-                    let shard = guards.get(self.shard_of(id))?;
-                    shard.entries.get(self.slot_of(id)).cloned()
-                })
+        let n = self.len();
+        let batches = (0..n).step_by(SAVE_BATCH).map(|start| {
+            let db = self.db.read();
+            (start..n.min(start + SAVE_BATCH))
+                .filter_map(|id| db.entry(id).map(|(l, fp)| (l.clone(), fp.clone())))
                 .collect::<Vec<_>>()
         });
         persistence::write_db_image(w, self.config.threshold, batches.flatten())
@@ -688,62 +589,6 @@ impl ShardedStore {
         }
         Ok(written)
     }
-
-    /// Builds a store from a persisted database and index pair, validating
-    /// that the index matches the database (same banding is assumed from the
-    /// file; entry counts must agree).
-    ///
-    /// # Errors
-    ///
-    /// Propagates format errors, plus a mismatch error when the index does
-    /// not cover exactly the database's entries.
-    pub fn from_persisted<R1: BufRead, R2: BufRead>(
-        config: StoreConfig,
-        db_reader: R1,
-        index_reader: R2,
-    ) -> Result<Self, DbIoError> {
-        let db = persistence::load_db(db_reader)?;
-        let index = persistence::load_index(index_reader)?;
-        Self::from_db_with_index(config, &db, index)
-    }
-
-    /// Builds a store from an already-loaded database and routing index,
-    /// validating that they agree on the entry count.
-    ///
-    /// # Errors
-    ///
-    /// A mismatch error when the index does not cover exactly the database's
-    /// entries.
-    pub fn from_db_with_index(
-        config: StoreConfig,
-        db: &FingerprintDb<String, PcDistance>,
-        index: LshIndex,
-    ) -> Result<Self, DbIoError> {
-        if index.len() != db.len() {
-            return Err(DbIoError::BadFormat {
-                line: 0,
-                message: format!(
-                    "index covers {} entries but database has {}",
-                    index.len(),
-                    db.len()
-                ),
-            });
-        }
-        let mut config = config;
-        config.threshold = db.threshold();
-        config.bands = index.bands();
-        config.rows_per_band = index.rows_per_band();
-        config.index_seed = index.seed();
-        let store = Self::new(config);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
-        }
-        // Adopt the persisted bucket layout verbatim so a save round-trips
-        // byte-identically even if insertion order would lay buckets out
-        // differently.
-        *store.index.write() = index;
-        Ok(store)
-    }
 }
 
 #[cfg(test)]
@@ -758,9 +603,8 @@ mod tests {
         (0..40).map(|i| chip * 40 + i).collect()
     }
 
-    fn populated(shards: usize) -> ShardedStore {
+    fn populated() -> ShardedStore {
         let store = ShardedStore::new(StoreConfig {
-            shards,
             threshold: 0.3,
             ..StoreConfig::default()
         });
@@ -774,23 +618,32 @@ mod tests {
 
     #[test]
     fn identify_matches_flat_db_reference() {
-        let store = populated(3);
+        let store = populated();
         let db = store.to_db();
         for chip in 0..10u64 {
             let mut bits = chip_bits(chip);
             bits.push(4000 + chip); // one noise bit
             let probe = es(&bits);
-            let sharded = store.identify(&probe).ok();
+            let served = store.identify(&probe).unwrap().ok();
             let flat = db
                 .identify_with_distance(&probe)
                 .map(|(l, d)| (l.clone(), d));
-            assert_eq!(sharded, flat, "chip {chip}");
+            assert_eq!(served, flat, "chip {chip}");
+            // The plan / score / merge steps compose to the same answer.
+            let (plan, total) = store.plan_identify(&probe);
+            assert_eq!((plan.len(), plan[0].len()), (1, total));
+            let best = store.score_shard(0, &plan[0], &probe).unwrap();
+            assert_eq!(store.merge_verdict(best).ok(), flat, "chip {chip}");
+            assert_eq!(
+                store.score_shard(1, &plan[0], &probe),
+                Err(StoreError::MissingShard { shard: 1 })
+            );
         }
     }
 
     #[test]
     fn characterize_refines_and_reroutes() {
-        let store = populated(2);
+        let store = populated();
         let (w1, o1, created) = store
             .characterize("chip-00", &es(&chip_bits(0)[..30]))
             .unwrap();
@@ -798,13 +651,13 @@ mod tests {
         assert_eq!(o1, 2);
         assert_eq!(w1, 30);
         // The refined fingerprint must still be found via the index.
-        let (label, _) = store.identify(&es(&chip_bits(0)[..30])).unwrap();
+        let (label, _) = store.identify(&es(&chip_bits(0)[..30])).unwrap().unwrap();
         assert_eq!(label, "chip-00");
     }
 
     #[test]
     fn characterize_size_mismatch_is_an_error() {
-        let store = populated(2);
+        let store = populated();
         let wrong = ErrorString::from_sorted(vec![1, 2], 64).unwrap();
         assert!(store.characterize("chip-00", &wrong).is_err());
         // A fresh label with an unusual size is fine: sizes are per-label.
@@ -830,10 +683,10 @@ mod tests {
 
     #[test]
     fn unknown_probe_reports_closest_or_nothing() {
-        let store = populated(2);
+        let store = populated();
         // Far from everything and sharing no band: no candidates at all.
         let stranger = es(&[2000, 2100, 2200, 2300]);
-        match store.identify(&stranger) {
+        match store.identify(&stranger).unwrap() {
             Err(closest) => {
                 if let Some((_, d)) = closest {
                     assert!(d >= store.threshold());
@@ -845,14 +698,17 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip_is_byte_identical() {
-        let store = populated(3);
+        let store = populated();
         let (mut db1, mut idx1) = (Vec::new(), Vec::new());
         store.save_db(&mut db1).unwrap();
         store.save_index(&mut idx1).unwrap();
 
-        let restored =
-            ShardedStore::from_persisted(StoreConfig::default(), db1.as_slice(), idx1.as_slice())
-                .unwrap();
+        let restored = ShardedStore::open(
+            StoreConfig::default(),
+            persistence::load_db(db1.as_slice()).unwrap(),
+            Some(persistence::load_index(idx1.as_slice()).unwrap()),
+        );
+        assert!(!restored.degraded(), "a matching index is adopted");
         assert_eq!(restored.len(), store.len());
 
         let (mut db2, mut idx2) = (Vec::new(), Vec::new());
@@ -862,7 +718,7 @@ mod tests {
         assert_eq!(idx1, idx2, "index save/load/save must be byte-identical");
 
         // And the restored store still identifies.
-        let (label, _) = restored.identify(&es(&chip_bits(7))).unwrap();
+        let (label, _) = restored.identify(&es(&chip_bits(7))).unwrap().unwrap();
         assert_eq!(label, "chip-07");
     }
 
@@ -901,10 +757,7 @@ mod tests {
         }
 
         // Enough entries that the image reaches the writer mid-stream.
-        let store = Arc::new(ShardedStore::new(StoreConfig {
-            shards: 3,
-            ..StoreConfig::default()
-        }));
+        let store = Arc::new(ShardedStore::new(StoreConfig::default()));
         for chip in 0..600u64 {
             let label = format!("chip-{chip:03}");
             store
@@ -926,42 +779,36 @@ mod tests {
     }
 
     #[test]
-    fn from_persisted_rejects_mismatched_pair() {
-        let store = populated(2);
-        let (mut db, mut idx) = (Vec::new(), Vec::new());
-        store.save_db(&mut db).unwrap();
+    fn mismatched_index_is_refused_or_degrades() {
+        let store = populated();
+        let mut idx = Vec::new();
         store.save_index(&mut idx).unwrap();
-        // Drop one fingerprint line from the database.
-        let trimmed: String = {
-            let text = String::from_utf8(db).unwrap();
-            let mut lines: Vec<&str> = text.lines().collect();
-            lines.pop();
-            lines.join("\n") + "\n"
-        };
-        assert!(ShardedStore::from_persisted(
-            StoreConfig::default(),
-            trimmed.as_bytes(),
-            idx.as_slice()
-        )
-        .is_err());
+        let index = persistence::load_index(idx.as_slice()).unwrap();
+        // Drop the last fingerprint from the database.
+        let mut trimmed = FingerprintDb::new(PcDistance::new(), store.threshold());
+        let db = store.to_db();
+        for (label, fp) in db.iter().take(db.len() - 1) {
+            trimmed.insert(label.clone(), fp.clone());
+        }
+        assert!(
+            ShardedStore::from_db_with_index(StoreConfig::default(), &trimmed, index.clone())
+                .is_err()
+        );
+        let opened = ShardedStore::open(StoreConfig::default(), trimmed, Some(index));
+        assert!(opened.degraded(), "an index that disagrees is not adopted");
+        assert_eq!(opened.len(), 9);
     }
 
     #[test]
     fn degraded_store_scans_linearly_and_rebuild_restores_routing() {
-        let db = populated(3).to_db();
-        let store = ShardedStore::from_db_degraded(
-            StoreConfig {
-                shards: 3,
-                ..StoreConfig::default()
-            },
-            &db,
-        );
+        let db = populated().to_db();
+        let store = ShardedStore::open(StoreConfig::default(), db, None);
         assert!(store.degraded());
         assert_eq!(store.len(), 10);
 
         // Degraded identifies scan every entry and still answer correctly.
         let before = store.distance_evals();
-        let (label, _) = store.identify(&es(&chip_bits(4))).unwrap();
+        let (label, _) = store.identify(&es(&chip_bits(4))).unwrap().unwrap();
         assert_eq!(label, "chip-04");
         assert_eq!(
             store.distance_evals() - before,
@@ -969,7 +816,7 @@ mod tests {
             "degraded identify must score the whole store"
         );
 
-        // Mutations while degraded land in the shards (index writes skipped).
+        // Mutations while degraded land in the database (index writes skipped).
         store.characterize("chip-10", &es(&chip_bits(10))).unwrap();
 
         // The rebuild restores routed serving, covering the new entry too.
@@ -977,7 +824,7 @@ mod tests {
         assert!(!store.degraded());
         for chip in [4u64, 10] {
             let before = store.distance_evals();
-            let (label, _) = store.identify(&es(&chip_bits(chip))).unwrap();
+            let (label, _) = store.identify(&es(&chip_bits(chip))).unwrap().unwrap();
             assert_eq!(label, format!("chip-{chip:02}"));
             assert!(
                 store.distance_evals() - before < 11,
@@ -988,7 +835,7 @@ mod tests {
 
     #[test]
     fn distance_evals_counts_scored_candidates() {
-        let store = populated(2);
+        let store = populated();
         let before = store.distance_evals();
         let _ = store.identify(&es(&chip_bits(3)));
         let evals = store.distance_evals() - before;

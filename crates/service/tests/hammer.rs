@@ -42,7 +42,6 @@ fn device_output(d: u64, noise: u64) -> ErrorString {
 fn hammer_loses_nothing_and_matches_the_sequential_reference() {
     let handle = server::start(ServerConfig {
         store: StoreConfig {
-            shards: 4,
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },

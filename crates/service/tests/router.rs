@@ -5,9 +5,9 @@
 //! auto-checkpoints, quorum shedding, and deterministic `ring.forward`
 //! fault injection.
 //!
-//! The fault registry is process-wide, so the fault test serializes on a
-//! mutex shared with nothing else in this binary — but kept anyway so
-//! added fault tests never race.
+//! The fault registry is process-wide, so every test here serializes on one
+//! mutex: a `ring.forward` plan armed by one test must never fire on
+//! another test's forwards.
 
 use pc_service::protocol::{Request, Response, RingStatusBody};
 use pc_service::ring::HealthPolicy;
@@ -109,6 +109,7 @@ impl Drop for Armed {
 
 #[test]
 fn routed_reads_fanned_writes_and_ring_status() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let replicas: Vec<_> = (0..3).map(|_| start_replica()).collect();
     let addrs: Vec<String> = replicas
         .iter()
@@ -158,6 +159,7 @@ fn routed_reads_fanned_writes_and_ring_status() {
 
 #[test]
 fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut replicas: Vec<Option<server::ServerHandle>> =
         (0..3).map(|_| Some(start_replica())).collect();
     let addrs: Vec<String> = replicas
@@ -252,6 +254,7 @@ fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
 
 #[test]
 fn quorum_sheds_busy_when_below_two_replicas() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
     let b = start_replica();
     let rt = router_over(
@@ -436,6 +439,7 @@ fn shed_write_is_retracted_not_replayed() {
 
 #[test]
 fn auto_checkpoint_bounds_journals_without_client_saves() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
     let b = start_replica();
     let rt = router::start(RouterConfig {

@@ -14,7 +14,7 @@
 //! yield points inside each Journal call. Deterministic: no wall clock —
 //! the deadlock watchdog is [`run_bounded`]'s poll budget.
 
-use pc_kernels::sched::{interleave, run_bounded, steps, Schedule};
+use pc_kernels::sched::{interleave, run_bounded, site_steps, Schedule};
 use pc_service::protocol::{ReplayEntry, SequencedEntry};
 use pc_service::ring::Journal;
 use probable_cause::ErrorString;
@@ -26,6 +26,13 @@ const BUDGET: usize = 20_000_000;
 const WRITES: usize = 10;
 /// Writes that land on no replica and are retracted per run.
 const NO_ACKS: usize = 2;
+/// The Journal yield points every schedule must reach.
+const SITES: [&str; 4] = [
+    "journal.push",
+    "journal.retract",
+    "journal.snapshot",
+    "journal.truncate",
+];
 
 /// The mutation payload for acknowledged write `i` — alternating replay
 /// entry variants so both wire shapes ride through the journal.
@@ -187,16 +194,16 @@ fn journal_protocol_is_schedule_independent() {
         .map(|i| format!("{:?}", write_entry(i)))
         .collect();
 
-    let mut perturbed = 0u64;
     for seed in 0..SEEDS {
         let sched = Schedule::arm(seed);
         let (a, b) = run_bounded(BUDGET, move || run_schedule(seed))
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-        let took = steps();
-        drop(sched);
-        if took > 0 {
-            perturbed += 1;
+        // The hooks must actually fire: a site the armed schedule never
+        // reached is a protocol step the explorer is not perturbing.
+        for site in SITES {
+            assert!(site_steps(site) > 0, "seed {seed}: {site} never fired");
         }
+        drop(sched);
 
         // Replica convergence: byte-identical applied state, sequence
         // numbers included.
@@ -228,10 +235,4 @@ fn journal_protocol_is_schedule_independent() {
         assert_eq!(a.journal.appended(), pushes, "seed {seed}: A push count");
         assert_eq!(b.journal.appended(), pushes, "seed {seed}: B push count");
     }
-    // The hooks must actually fire: if the armed schedules never counted
-    // a step the explorer is testing nothing.
-    assert!(
-        perturbed >= SEEDS / 2,
-        "only {perturbed}/{SEEDS} schedules hit a journal yield point"
-    );
 }

@@ -23,7 +23,6 @@ fn chip_bits(c: u64) -> Vec<u64> {
 fn test_config() -> ServerConfig {
     ServerConfig {
         store: StoreConfig {
-            shards: 3,
             threshold: 0.3,
             ..StoreConfig::default()
         },
@@ -121,7 +120,6 @@ fn identify_and_cluster_over_the_wire() {
         Response::Stats(s) => {
             assert_eq!(s.fingerprints, 12);
             assert_eq!(s.clusters, 2);
-            assert_eq!(s.shards, 3);
             assert!(s.admitted >= 12 + 5);
         }
         other => panic!("expected stats, got {other:?}"),

@@ -72,12 +72,10 @@ fn response_from(which: u64, label: Vec<char>, x: f64, n: u64, flag: bool) -> Re
         6 => Response::Stats(StatsBody {
             fingerprints: n,
             clusters: n / 2,
-            shards: 4,
             admitted: n + 7,
             rejected: n / 3,
             distance_evals: n * 2,
             worker_panics: n % 5,
-            worker_respawns: n % 3,
             degraded: flag,
         }),
         7 => Response::ShuttingDown,

@@ -58,7 +58,6 @@ pub const COUNTERS: &[&str] = &[
     "service.dispatch.batches",
     "service.dispatch.jobs",
     "service.pool.panics",
-    "service.pool.respawns",
     "service.queue.admitted",
     "service.queue.rejected",
     "service.recovery.db_from_backup",

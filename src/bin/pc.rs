@@ -11,7 +11,7 @@
 //! pc demo
 //!     Simulate two devices end to end and show attribution working.
 //!
-//! pc serve [--addr HOST:PORT] [--db DB] [--index IDX] [--shards N]
+//! pc serve [--addr HOST:PORT] [--db DB] [--index IDX]
 //!          [--queue-capacity N] [--threshold T] [--timeout-ms MS]
 //!          [--slow-ms MS] [--flight-recorder-len N] [--no-trace]
 //!          [--faults SPEC] [--watch-stdin] [--replica-id NAME]
@@ -177,7 +177,7 @@ fn print_usage() {
          usage:\n\
          \x20 pc characterize --db DB --label NAME EXACT.pgm APPROX.pgm [APPROX.pgm...]\n\
          \x20 pc identify    --db DB EXACT.pgm APPROX.pgm\n\
-         \x20 pc serve       [--addr HOST:PORT] [--db DB] [--index IDX] [--shards N]\n\
+         \x20 pc serve       [--addr HOST:PORT] [--db DB] [--index IDX]\n\
          \x20                [--queue-capacity N] [--threshold T] [--timeout-ms MS]\n\
          \x20                [--slow-ms MS] [--flight-recorder-len N] [--no-trace]\n\
          \x20                [--faults SPEC] [--watch-stdin] [--replica-id NAME]\n\
@@ -367,7 +367,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (addr, rest) = take_optional_flag(args, "--addr")?;
     let (db_path, rest) = take_optional_flag(&rest, "--db")?;
     let (index_path, rest) = take_optional_flag(&rest, "--index")?;
-    let (shards, rest) = take_optional_flag(&rest, "--shards")?;
     let (queue_capacity, rest) = take_optional_flag(&rest, "--queue-capacity")?;
     let (threshold, rest) = take_optional_flag(&rest, "--threshold")?;
     let (timeout_ms, rest) = take_optional_flag(&rest, "--timeout-ms")?;
@@ -389,9 +388,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let mut store = StoreConfig::default();
-    if let Some(n) = shards {
-        store.shards = n.parse().map_err(|_| format!("bad --shards {n:?}"))?;
-    }
     if let Some(t) = threshold {
         store.threshold = t.parse().map_err(|_| format!("bad --threshold {t:?}"))?;
     }
@@ -715,7 +711,6 @@ fn print_response(response: Response) -> Result<(), String> {
         Response::Stats(s) => {
             println!("fingerprints:    {}", s.fingerprints);
             println!("clusters:        {}", s.clusters);
-            println!("shards:          {}", s.shards);
             println!("admitted:        {}", s.admitted);
             println!("rejected:        {}", s.rejected);
             println!("distance evals:  {}", s.distance_evals);
@@ -727,17 +722,6 @@ fn print_response(response: Response) -> Result<(), String> {
                     format!(
                         "{} (absorbed; each failed only its own request)",
                         s.worker_panics
-                    )
-                }
-            );
-            println!(
-                "worker respawns: {}",
-                if s.worker_respawns == 0 {
-                    "none".to_string()
-                } else {
-                    format!(
-                        "{} (worker loops restarted after a panic)",
-                        s.worker_respawns
                     )
                 }
             );

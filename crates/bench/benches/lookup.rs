@@ -17,7 +17,13 @@
 //!   containers; every built-in metric; 1/2/4/auto threads) is bit-for-bit
 //!   equal to per-pair scalar scoring;
 //! - `tracing_overhead_ok` — disabled request tracing costs at most 1% on a
-//!   10k-chip identify.
+//!   10k-chip identify;
+//! - `minhash_matches_scalar` — every MinHash signing tier this machine
+//!   supports gives the scalar tier's lanes, bit for bit.
+//!
+//! It also times signing one 328-bit probe at 16 bands × 4 rows, the LSH
+//! plan stage of every identify: `minhash_scalar_ns` on the scalar tier and
+//! `minhash_ns` on the tier `simd_backend` names.
 //!
 //! The record also carries a roofline: achieved container-scan GB/s against
 //! a measured `memcpy` bandwidth baseline (`memcpy_gbps`,
@@ -27,7 +33,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::{perturbed, synthetic_errors};
-use pc_kernels::{PackedErrors, Parallelism};
+use pc_kernels::simd::{minhash_min_on, MinHashTier};
+use pc_kernels::{mix64, PackedErrors, Parallelism};
 use pc_telemetry::trace::{Stage, StageClock, Tracer};
 use probable_cause::{DistanceMetric, ErrorString, Fingerprint, FingerprintDb, PcDistance};
 use std::hint::black_box;
@@ -240,10 +247,34 @@ fn simd_matches_scalar(
     })
 }
 
+/// Differential check: every MinHash tier this machine supports must give
+/// the scalar tier's lanes on lane counts that are and are not multiples of
+/// the 8-lane chunk, on empty to page-sized sets, and on pre-filled
+/// signatures. Returns false (rather than panicking) so the JSON record
+/// always lands and CI's `"minhash_matches_scalar": true` grep fails.
+fn minhash_matches_scalar() -> bool {
+    [1usize, 4, 15, 16, 64, 72, 128].into_iter().all(|lanes| {
+        let seeds: Vec<u64> = (0..lanes as u64).map(|l| mix64(l ^ 0x5eed)).collect();
+        [0usize, 1, 7, WEIGHT, 1_000].into_iter().all(|weight| {
+            let hashes: Vec<u64> = (0..weight as u64).map(|h| mix64(h << 24)).collect();
+            let prefilled: Vec<u64> = (0..lanes as u64).map(|l| mix64(!l) >> 6).collect();
+            [vec![u64::MAX; lanes], prefilled].into_iter().all(|start| {
+                let mut want = start.clone();
+                minhash_min_on(MinHashTier::Scalar, &seeds, &hashes, &mut want);
+                MinHashTier::ALL.into_iter().all(|tier| {
+                    let mut got = start.clone();
+                    !minhash_min_on(tier, &seeds, &hashes, &mut got) || got == want
+                })
+            })
+        })
+    })
+}
+
 /// Times scalar vs packed vs packed+parallel batch scoring, measures the
-/// roofline (achieved kernel GB/s against `memcpy` bandwidth), and writes
-/// `BENCH_kernels.json` — the machine-readable record CI gates on
-/// (`parallel_speedup_ok`, `simd_matches_scalar`, `tracing_overhead_ok`).
+/// roofline (achieved kernel GB/s against `memcpy` bandwidth), times MinHash
+/// signing per tier, and writes `BENCH_kernels.json` — the machine-readable
+/// record CI gates on (`parallel_speedup_ok`, `simd_matches_scalar`,
+/// `tracing_overhead_ok`, `minhash_matches_scalar`).
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test")
         || std::env::var("PC_BENCH_QUICK").is_ok_and(|v| v != "0");
@@ -382,6 +413,26 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let tracing_overhead_pct = ((traced_ns - raw_ns) / raw_ns * 100.0).max(0.0);
     let tracing_overhead_ok = tracing_overhead_pct <= 1.0;
 
+    // MinHash signing of one identify probe: 328 pre-hashed positions into
+    // 16 × 4 lanes, the `store.plan` work of every LSH-routed identify.
+    // Timed in batches of 100 calls so one sample is well above the clock's
+    // resolution.
+    let seeds: Vec<u64> = (0..64u64).map(|l| mix64(l ^ 0x5eed)).collect();
+    let hashes: Vec<u64> = w.probe.positions().iter().map(|&b| mix64(b)).collect();
+    let signing_ns = |tier: MinHashTier| {
+        let mut sig = vec![u64::MAX; seeds.len()];
+        median_ns(reps, || {
+            for _ in 0..100 {
+                sig.fill(u64::MAX);
+                minhash_min_on(tier, &seeds, &hashes, black_box(&mut sig));
+            }
+        }) / 100.0
+    };
+    // `best()` is the tier `minhash_min` dispatches to.
+    let minhash_scalar_ns = signing_ns(MinHashTier::Scalar);
+    let minhash_ns = signing_ns(MinHashTier::best());
+    let minhash_ok = minhash_matches_scalar();
+
     let roofline_fraction = packed_gbps_10k / memcpy_bw;
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"size_bits\": {SIZE},\n  \"weight\": {WEIGHT},\n  \
@@ -397,7 +448,10 @@ fn emit_kernels_json(_c: &mut Criterion) {
          \"roofline_fraction_10k\": {roofline_fraction:.3},\n  \
          \"simd_matches_scalar\": {simd_ok},\n  \
          \"tracing_overhead_pct_10k\": {tracing_overhead_pct:.2},\n  \
-         \"tracing_overhead_ok\": {tracing_overhead_ok}\n}}\n",
+         \"tracing_overhead_ok\": {tracing_overhead_ok},\n  \
+         \"minhash_scalar_ns\": {minhash_scalar_ns:.0},\n  \
+         \"minhash_ns\": {minhash_ns:.0},\n  \
+         \"minhash_matches_scalar\": {minhash_ok}\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write kernels bench record");

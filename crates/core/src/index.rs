@@ -5,9 +5,11 @@
 //! fingerprint; at database sizes the ROADMAP targets (10k+ chips) that
 //! linear scan is the serving bottleneck. This index reuses the stitching
 //! layer's [`MinHasher`]: each fingerprint is signed once at insertion and
-//! its band keys are bucketed, so a query pays `bands × rows` hashes and
-//! then full modified-Jaccard distance only against the candidate set that
-//! collides with it in at least one band.
+//! its band keys are bucketed, so a query pays `weight × bands × rows`
+//! hashes (≈21k SplitMix64 rounds for a 328-bit page at 16 × 4, run by the
+//! SIMD MinHash kernel in `pc_kernels::simd`) and then full modified-Jaccard
+//! distance only against the candidate set that collides with it in at
+//! least one band.
 //!
 //! Recall is probabilistic: a pair with Jaccard similarity `s` collides in
 //! at least one band with probability `1 − (1 − s^rows)^bands`. At the

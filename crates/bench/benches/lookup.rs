@@ -19,11 +19,18 @@
 //! - `tracing_overhead_ok` — disabled request tracing costs at most 1% on a
 //!   10k-chip identify;
 //! - `minhash_matches_scalar` — every MinHash signing tier this machine
-//!   supports gives the scalar tier's lanes, bit for bit.
+//!   supports gives the scalar tier's lanes, bit for bit;
+//! - `cluster_scan_matches_pairwise` — Algorithm 4's first-match scan
+//!   (`first_within`) finds the same cluster after the same number of
+//!   comparisons as a `distance_packed` loop, for every built-in metric.
 //!
 //! It also times signing one 328-bit probe at 16 bands × 4 rows, the LSH
 //! plan stage of every identify: `minhash_scalar_ns` on the scalar tier and
-//! `minhash_ns` on the tier `simd_backend` names.
+//! `minhash_ns` on the tier `simd_backend` names. And it times the
+//! cluster-ingest scan per cluster compared, on a 1 024-cluster book of
+//! 312-bit fingerprints probed with 328-bit outputs (the `ingest-10k`
+//! shape): `cluster_scan_pairwise_ns` for the `distance_packed` loop,
+//! `cluster_scan_ns` for `first_within`.
 //!
 //! The record also carries a roofline: achieved container-scan GB/s against
 //! a measured `memcpy` bandwidth baseline (`memcpy_gbps`,
@@ -34,7 +41,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::{perturbed, synthetic_errors};
 use pc_kernels::simd::{minhash_min_on, MinHashTier};
-use pc_kernels::{mix64, PackedErrors, Parallelism};
+use pc_kernels::{distance_packed, first_within, mix64, MetricKind, PackedErrors, Parallelism};
 use pc_telemetry::trace::{Stage, StageClock, Tracer};
 use probable_cause::{DistanceMetric, ErrorString, Fingerprint, FingerprintDb, PcDistance};
 use std::hint::black_box;
@@ -270,11 +277,70 @@ fn minhash_matches_scalar() -> bool {
     })
 }
 
+/// Clusters in the cluster-scan book, and their fingerprint weight: the
+/// `ingest-10k` book of 1 024 devices at 312 stable bits each.
+const BOOK_CLUSTERS: u64 = 1_024;
+const CLUSTER_WEIGHT: usize = 312;
+
+/// The cluster-scan workload: the book, plus probes that match clusters
+/// spread across it (a device's stable bits plus 16 noise bits, 328 in
+/// all) and 328-bit strangers that match none.
+fn cluster_scan_workload() -> (Vec<PackedErrors>, Vec<PackedErrors>) {
+    let fingerprints: Vec<ErrorString> = (0..BOOK_CLUSTERS)
+        .map(|c| synthetic_errors(c + 1, CLUSTER_WEIGHT, SIZE))
+        .collect();
+    let matching = (0..16u64).map(|k| perturbed(&fingerprints[(k * 64 + 31) as usize], 0, 16, k));
+    let strangers = (0..16u64).map(|k| synthetic_errors(1_000_000 + k, WEIGHT, SIZE));
+    let book = fingerprints.iter().map(ErrorString::to_packed).collect();
+    let probes = matching.chain(strangers).map(|p| p.to_packed()).collect();
+    (book, probes)
+}
+
+/// The first-match loop `first_within` replaces: one pairwise merge per
+/// cluster until one is within the threshold.
+fn pairwise_first_match(
+    book: &[PackedErrors],
+    probe: &PackedErrors,
+    kind: MetricKind,
+    threshold: f64,
+) -> (Option<usize>, u64) {
+    let mut compared = 0u64;
+    for (j, fingerprint) in book.iter().enumerate() {
+        compared += 1;
+        if distance_packed(fingerprint, probe, kind) < threshold {
+            return (Some(j), compared);
+        }
+    }
+    (None, compared)
+}
+
+/// Differential check: `first_within` must return the pairwise loop's
+/// index and compared count for every probe, every built-in metric, and
+/// thresholds around the service's 0.25. Returns false (rather than
+/// panicking) so the JSON record always lands and CI's
+/// `"cluster_scan_matches_pairwise": true` grep fails.
+fn cluster_scan_matches_pairwise(book: &[PackedErrors], probes: &[PackedErrors]) -> bool {
+    let kinds = [
+        MetricKind::PcJaccard,
+        MetricKind::Hamming,
+        MetricKind::Jaccard,
+    ];
+    kinds.into_iter().all(|kind| {
+        [0.05, 0.25, 0.5, 0.99].into_iter().all(|threshold| {
+            probes.iter().all(|probe| {
+                first_within(book, probe, kind, threshold)
+                    == pairwise_first_match(book, probe, kind, threshold)
+            })
+        })
+    })
+}
+
 /// Times scalar vs packed vs packed+parallel batch scoring, measures the
 /// roofline (achieved kernel GB/s against `memcpy` bandwidth), times MinHash
-/// signing per tier, and writes `BENCH_kernels.json` — the machine-readable
-/// record CI gates on (`parallel_speedup_ok`, `simd_matches_scalar`,
-/// `tracing_overhead_ok`, `minhash_matches_scalar`).
+/// signing per tier and the cluster-ingest scan per cluster compared, and
+/// writes `BENCH_kernels.json` — the machine-readable record CI gates on
+/// (`parallel_speedup_ok`, `simd_matches_scalar`, `tracing_overhead_ok`,
+/// `minhash_matches_scalar`, `cluster_scan_matches_pairwise`).
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test")
         || std::env::var("PC_BENCH_QUICK").is_ok_and(|v| v != "0");
@@ -433,6 +499,26 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let minhash_ns = signing_ns(MinHashTier::best());
     let minhash_ok = minhash_matches_scalar();
 
+    // Algorithm 4's first-match scan at the service threshold, per cluster
+    // compared: the matching probes stop partway through the book, the
+    // strangers compare every cluster.
+    let (book, probes) = cluster_scan_workload();
+    let threshold = 0.25;
+    let compared: u64 = probes
+        .iter()
+        .map(|p| pairwise_first_match(&book, p, kind, threshold).1)
+        .sum();
+    let scan_ns = |scan: &dyn Fn(&PackedErrors) -> (Option<usize>, u64)| {
+        median_ns(reps, || {
+            for probe in &probes {
+                black_box(scan(black_box(probe)));
+            }
+        }) / compared as f64
+    };
+    let cluster_scan_pairwise_ns = scan_ns(&|p| pairwise_first_match(&book, p, kind, threshold));
+    let cluster_scan_ns = scan_ns(&|p| first_within(&book, p, kind, threshold));
+    let cluster_scan_ok = cluster_scan_matches_pairwise(&book, &probes);
+
     let roofline_fraction = packed_gbps_10k / memcpy_bw;
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"size_bits\": {SIZE},\n  \"weight\": {WEIGHT},\n  \
@@ -451,7 +537,10 @@ fn emit_kernels_json(_c: &mut Criterion) {
          \"tracing_overhead_ok\": {tracing_overhead_ok},\n  \
          \"minhash_scalar_ns\": {minhash_scalar_ns:.0},\n  \
          \"minhash_ns\": {minhash_ns:.0},\n  \
-         \"minhash_matches_scalar\": {minhash_ok}\n}}\n",
+         \"minhash_matches_scalar\": {minhash_ok},\n  \
+         \"cluster_scan_pairwise_ns\": {cluster_scan_pairwise_ns:.1},\n  \
+         \"cluster_scan_ns\": {cluster_scan_ns:.1},\n  \
+         \"cluster_scan_matches_pairwise\": {cluster_scan_ok}\n}}\n",
         rows.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write kernels bench record");

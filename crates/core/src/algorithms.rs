@@ -2,8 +2,8 @@
 //! (Algorithm 2, identification, lives on [`crate::FingerprintDb`].)
 
 use crate::batch::add_comparisons;
-use crate::{DistanceMetric, ErrorString, Fingerprint};
-use pc_kernels::{distance_packed, MetricKind, PackedErrors};
+use crate::{BitStringError, DistanceMetric, ErrorString, Fingerprint};
+use pc_kernels::{first_within, MetricKind, PackedErrors};
 use std::fmt;
 
 /// Error from [`characterize`].
@@ -103,6 +103,12 @@ impl Clustering {
 /// refines that cluster's fingerprint by intersection, otherwise the output
 /// seeds a new cluster.
 ///
+/// Built-in metrics (those with a [`DistanceMetric::kind`]) run through one
+/// [`ClusterBook`], whose first-match scan expands each output to a dense
+/// view once and stops each cluster's bit test at the threshold decision;
+/// other metrics call [`DistanceMetric::distance`] per cluster. Both give
+/// the same clusters.
+///
 /// Note: the paper's pseudocode augments `fingerprintDB[i]` on line 7; the
 /// surrounding text makes clear the *matched cluster* `fingerprintDB[j]` is
 /// intended, which is what this implementation does.
@@ -138,53 +144,165 @@ pub fn cluster<M: DistanceMetric + ?Sized>(
     }
 }
 
-/// Algorithm 4 over packed error strings: each observation is packed once,
-/// cluster fingerprints keep a packed mirror that is rebuilt only on refine,
-/// and metric telemetry is batched to one update per observation. Distances
-/// are bit-for-bit those of [`cluster_scalar`], so the first-match walk
-/// takes identical branches.
+/// Algorithm 4 over a [`ClusterBook`], whose first-match decisions are
+/// exactly those of [`cluster_scalar`]'s distances against the threshold.
 fn cluster_packed(observations: &[ErrorString], kind: MetricKind, threshold: f64) -> Clustering {
-    let mut clusters: Vec<Fingerprint> = Vec::new();
-    let mut packed: Vec<PackedErrors> = Vec::new();
-    let mut assignments = Vec::with_capacity(observations.len());
-    for obs in observations {
-        let obs_packed = obs.to_packed();
-        let mut assigned = None;
-        let mut compared = 0u64;
-        for (j, fp) in packed.iter().enumerate() {
-            compared += 1;
-            if distance_packed(fp, &obs_packed, kind) < threshold {
-                assigned = Some(j);
-                break;
-            }
-        }
-        add_comparisons(kind, compared);
-        let id = match assigned {
-            Some(j) => {
-                clusters[j] = clusters[j]
-                    .refine(obs)
-                    .expect("clustered observations must share a size");
-                packed[j] = clusters[j].errors().to_packed();
-                pc_telemetry::counter!("core.cluster.refined").incr();
-                j
-            }
-            None => {
-                clusters.push(Fingerprint::from_observation(obs.clone()));
-                packed.push(obs_packed);
+    let mut book = ClusterBook::new(kind, threshold);
+    let assignments = observations
+        .iter()
+        .map(|obs| {
+            let assigned = book
+                .ingest(obs)
+                .map_err(|e| e.error)
+                .expect("clustered observations must share a size");
+            if assigned.seeded {
                 pc_telemetry::counter!("core.cluster.seeded").incr();
-                clusters.len() - 1
+            } else {
+                pc_telemetry::counter!("core.cluster.refined").incr();
             }
-        };
-        assignments.push(id);
-    }
+            assigned.cluster
+        })
+        .collect();
     Clustering {
-        clusters,
+        clusters: book.clusters,
         assignments,
     }
 }
 
+/// **Algorithm 4** as online state, for outputs that arrive one at a time:
+/// the cluster fingerprints of a built-in metric with their packed mirrors.
+/// [`cluster`] runs its packed path through one, and `pc-service` keeps one
+/// for `cluster-ingest`.
+///
+/// An ingest packs the output once and finds the first cluster within the
+/// threshold with [`pc_kernels::first_within`]: the output is expanded to a
+/// dense view once, and each cluster's bit test stops as soon as the
+/// threshold decision is known. The answers equal a per-cluster distance
+/// loop, bit for bit.
+///
+/// # Example
+///
+/// ```
+/// use probable_cause::{ClusterBook, ErrorString, MetricKind};
+/// let mut book = ClusterBook::new(MetricKind::PcJaccard, 0.25);
+/// let a = ErrorString::from_sorted(vec![1, 2, 3, 4], 64)?;
+/// let b = ErrorString::from_sorted(vec![40, 41, 42, 43], 64)?;
+/// assert!(book.ingest(&a).unwrap().seeded);
+/// assert!(book.ingest(&b).unwrap().seeded);
+/// let again = book.ingest(&ErrorString::from_sorted(vec![1, 2, 3, 4, 9], 64)?).unwrap();
+/// assert_eq!((again.cluster, again.seeded, again.compared), (0, false, 1));
+/// assert_eq!(book.len(), 2);
+/// # Ok::<(), probable_cause::BitStringError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ClusterBook {
+    kind: MetricKind,
+    threshold: f64,
+    clusters: Vec<Fingerprint>,
+    /// `packed[j]` is `clusters[j]`'s error string, re-packed on refine.
+    packed: Vec<PackedErrors>,
+}
+
+/// Where [`ClusterBook::ingest`] put an output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Assignment {
+    /// The cluster id: its position in the book.
+    pub cluster: usize,
+    /// Whether the output seeded a new cluster rather than refining one.
+    pub seeded: bool,
+    /// Clusters compared before the decision: up to the match, or all.
+    pub compared: u64,
+}
+
+/// An output whose first-matched cluster it cannot refine, because their
+/// sizes differ. The book is left unchanged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClusterRefineError {
+    /// The first cluster within the threshold.
+    pub cluster: usize,
+    /// Clusters compared, the match included.
+    pub compared: u64,
+    /// Why the refine failed.
+    pub error: BitStringError,
+}
+
+impl fmt::Display for ClusterRefineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot refine cluster {}: {}", self.cluster, self.error)
+    }
+}
+
+impl std::error::Error for ClusterRefineError {}
+
+impl ClusterBook {
+    /// An empty book matching with `kind` below `threshold`.
+    pub fn new(kind: MetricKind, threshold: f64) -> Self {
+        Self {
+            kind,
+            threshold,
+            clusters: Vec::new(),
+            packed: Vec::new(),
+        }
+    }
+
+    /// Number of clusters.
+    pub fn len(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Whether no output has been ingested.
+    pub fn is_empty(&self) -> bool {
+        self.clusters.is_empty()
+    }
+
+    /// The cluster fingerprints (cluster id = index).
+    pub fn clusters(&self) -> &[Fingerprint] {
+        &self.clusters
+    }
+
+    /// Assigns `observation` to the first cluster within the threshold,
+    /// refining that cluster's fingerprint by intersection, or seeds a new
+    /// cluster with it. Records the comparisons on the metric's distance
+    /// counter (`core.distance.*`), refused or not.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterRefineError`] when the first match has a different size
+    /// than `observation`; the book is unchanged.
+    pub fn ingest(&mut self, observation: &ErrorString) -> Result<Assignment, ClusterRefineError> {
+        let probe = observation.to_packed();
+        let (hit, compared) = first_within(&self.packed, &probe, self.kind, self.threshold);
+        add_comparisons(self.kind, compared);
+        let Some(cluster) = hit else {
+            self.clusters
+                .push(Fingerprint::from_observation(observation.clone()));
+            self.packed.push(probe);
+            return Ok(Assignment {
+                cluster: self.clusters.len() - 1,
+                seeded: true,
+                compared,
+            });
+        };
+        let refined = self.clusters[cluster]
+            .refine(observation)
+            .map_err(|error| ClusterRefineError {
+                cluster,
+                compared,
+                error,
+            })?;
+        self.packed[cluster] = refined.errors().to_packed();
+        self.clusters[cluster] = refined;
+        Ok(Assignment {
+            cluster,
+            seeded: false,
+            compared,
+        })
+    }
+}
+
 /// Algorithm 4 via per-pair [`DistanceMetric::distance`] calls — the path
-/// for custom metrics with no packed form.
+/// for custom metrics with no packed form, and the reference the
+/// [`ClusterBook`] path is tested against.
 fn cluster_scalar<M: DistanceMetric + ?Sized>(
     observations: &[ErrorString],
     metric: &M,
@@ -292,6 +410,30 @@ mod tests {
         let c = cluster(&[], &PcDistance::new(), 0.3);
         assert!(c.is_empty());
         assert!(c.assignments().is_empty());
+    }
+
+    #[test]
+    fn size_mismatched_first_match_leaves_the_book_unchanged() {
+        let mut book = ClusterBook::new(MetricKind::PcJaccard, 0.3);
+        book.ingest(&es(&[1, 2, 3, 4])).unwrap();
+        book.ingest(&es(&[100, 150, 200, 250])).unwrap();
+        let (clusters, packed) = (book.clusters.clone(), book.packed.clone());
+        // Positions are compared verbatim, so a wider string can match.
+        let wider = ErrorString::from_sorted(vec![100, 150, 200, 250], 512).unwrap();
+        let refused = book.ingest(&wider).unwrap_err();
+        assert_eq!((refused.cluster, refused.compared), (1, 2));
+        assert_eq!(
+            refused.to_string(),
+            "cannot refine cluster 1: size mismatch: 256 bits vs 512 bits"
+        );
+        assert_eq!((book.clusters, book.packed), (clusters, packed));
+    }
+
+    #[test]
+    #[should_panic(expected = "clustered observations must share a size")]
+    fn cluster_panics_on_a_size_mismatched_match() {
+        let wider = ErrorString::from_sorted(vec![1, 2, 3], 512).unwrap();
+        cluster(&[es(&[1, 2, 3]), wider], &PcDistance::new(), 0.3);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   approximation levels (unlike Hamming distance, also provided as a
 //!   baseline).
 //! - [`cluster`] (Algorithm 4): online clustering of outputs from unknown
-//!   devices.
+//!   devices; [`ClusterBook`] holds its state when outputs arrive one at a
+//!   time (the `cluster-ingest` path of `pc-service`).
 //! - [`LshIndex`]: MinHash/LSH pruning of identification — route a query to
 //!   the few fingerprints it could plausibly match before paying full
 //!   distance computation (the serving path of `pc-service`).
@@ -82,7 +83,10 @@ mod threshold;
 
 pub mod attacker;
 
-pub use algorithms::{characterize, cluster, CharacterizeError, Clustering};
+pub use algorithms::{
+    characterize, cluster, Assignment, CharacterizeError, ClusterBook, ClusterRefineError,
+    Clustering,
+};
 pub use attacker::{Eavesdropper, SupplyChainAttacker};
 pub use batch::{MetricKind, Parallelism};
 pub use bits::{BitStringError, ErrorString};

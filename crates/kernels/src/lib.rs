@@ -19,6 +19,12 @@
 //!   sparse-versus-probe scoring into branchless bit tests.
 //! - [`MetricKind`] + [`score_batch`]: one probe against many stored strings,
 //!   bit-for-bit equal to the scalar metrics in `probable-cause`.
+//! - [`first_within`]: Algorithm 4's first-match scan over cluster
+//!   fingerprints. One dense view per probe; each cluster's bit test
+//!   ([`PackedErrors::intersects_at_least`]) stops once its count reaches
+//!   the exact threshold bound [`MetricKind::min_intersection`] or can no
+//!   longer reach it. [`distance_packed`], the pairwise merge, is for
+//!   one-off pairs.
 //! - [`pool`]: a deterministic chunked thread pool over persistent workers
 //!   (spawned once per process, parked between batches); results are
 //!   independent of the thread count by construction.
@@ -54,4 +60,4 @@ pub mod simd;
 pub use hash::mix64;
 pub use packed::{DenseView, PackedErrors, BLOCK_BITS, DENSE_THRESHOLD};
 pub use pool::{chunk_size_for, map_chunked, run_chunked, set_auto_thread_override, Parallelism};
-pub use score::{distance_packed, score_batch, score_subset, MetricKind};
+pub use score::{distance_packed, first_within, score_batch, score_subset, MetricKind};

@@ -242,7 +242,59 @@ impl PackedErrors {
         }
         count
     }
+
+    /// Whether `|self ∩ view| >= need`, equal to
+    /// `self.intersect_count_view(view) >= need` but stopping as soon as the
+    /// answer is known: the bit test runs 32 offsets at a time and returns
+    /// once the count reaches `need` or the positions left to test can no
+    /// longer lift it there. A stranger's low overlap is settled after about
+    /// `weight - need` tests instead of `weight`.
+    pub fn intersects_at_least(&self, view: &DenseView, need: u64) -> bool {
+        let mut count = 0u64;
+        // Positions not yet tested: every further hit is one of them.
+        let mut left = self.weight;
+        let undecided = |count: u64, left: u64| count < need && count + left >= need;
+        let mut v = 0usize;
+        for b in &self.blocks {
+            if !undecided(count, left) {
+                break;
+            }
+            while v < view.blocks.len() && view.blocks[v].0 < b.index {
+                v += 1;
+            }
+            let words = match view.blocks.get(v) {
+                Some((index, words)) if *index == b.index => words,
+                // No probe bits in this block: its positions cannot hit.
+                _ => {
+                    left -= u64::from(b.count);
+                    continue;
+                }
+            };
+            match &b.container {
+                Container::Sparse(offs) => {
+                    for chunk in offs.chunks(EARLY_EXIT_CHUNK) {
+                        if !undecided(count, left) {
+                            break;
+                        }
+                        count += simd::sparse_bit_test(chunk, words);
+                        left -= chunk.len() as u64;
+                    }
+                }
+                Container::Dense(mine) => {
+                    count += simd::and_popcount(mine, words);
+                    left -= u64::from(b.count);
+                }
+            }
+        }
+        // Complete, or stopped once `count` settled the answer either way.
+        count >= need
+    }
 }
+
+/// Offsets [`PackedErrors::intersects_at_least`] tests between checks of
+/// its early exit: long enough for the four-accumulator bit test to run at
+/// speed, short enough that a decided scan stops soon after.
+const EARLY_EXIT_CHUNK: usize = 32;
 
 /// A probe expanded to per-block dense bitmaps, built once per batch scoring
 /// call so every stored string is scored with branchless kernels.

@@ -48,6 +48,43 @@ impl MetricKind {
         }
     }
 
+    /// The smallest intersection `i` (at most the lower weight) for which
+    /// [`MetricKind::eval`] is below `threshold`, or `None` when even full
+    /// overlap is not. Every formula is non-increasing in the intersection,
+    /// also after rounding, so a pair with intersection `n` is within the
+    /// threshold exactly when `n` reaches this bound: the first-match scan
+    /// can stop counting once the decision is known.
+    ///
+    /// The bound starts from where the formula crosses the threshold in
+    /// exact arithmetic and then steps until `eval` itself confirms it, so
+    /// it agrees with `eval` bit for bit; the guess is usually already
+    /// right, which costs two evaluations.
+    pub fn min_intersection(
+        self,
+        fingerprint_weight: u64,
+        probe_weight: u64,
+        threshold: f64,
+    ) -> Option<u64> {
+        let (fw, pw) = (fingerprint_weight, probe_weight);
+        let max = fw.min(pw);
+        let keep = 1.0 - threshold;
+        let crossing = match self {
+            MetricKind::PcJaccard => max as f64 * keep,
+            MetricKind::Hamming => (fw + pw) as f64 * keep / 2.0,
+            MetricKind::Jaccard => (fw + pw) as f64 * keep / (1.0 + keep),
+        };
+        let below = |i| self.eval(fw, pw, i) < threshold;
+        // `as` saturates, so a negative or NaN guess starts at 0.
+        let mut i = ((crossing.floor() + 1.0) as u64).min(max + 1);
+        while i > 0 && below(i - 1) {
+            i -= 1;
+        }
+        while i <= max && !below(i) {
+            i += 1;
+        }
+        (i <= max).then_some(i)
+    }
+
     /// Metric name, matching `DistanceMetric::name` in `probable_cause`.
     pub fn name(self) -> &'static str {
         match self {
@@ -59,14 +96,41 @@ impl MetricKind {
 }
 
 /// Distance between one fingerprint and one probe via the pairwise merge
-/// kernels (no dense expansion) — the right call for one-off comparisons
-/// like online clustering's first-match loop.
+/// kernels (no dense expansion) — for one-off pairs, where no probe is
+/// shared. A probe compared against several fingerprints is cheaper through
+/// [`DenseView`]: [`score_subset`] for distances, [`first_within`] for
+/// online clustering's first match.
 pub fn distance_packed(fingerprint: &PackedErrors, probe: &PackedErrors, kind: MetricKind) -> f64 {
     kind.eval(
         fingerprint.weight(),
         probe.weight(),
         fingerprint.intersect_count(probe),
     )
+}
+
+/// Algorithm 4's first-match scan: the index of the first entry whose
+/// distance to `probe` is below `threshold`, plus the number of entries
+/// examined (all of them on a miss). Answers exactly what a
+/// [`distance_packed`] loop answers, more cheaply: the probe is expanded to
+/// a [`DenseView`] once (only when there is an entry to compare), and each
+/// entry's bit test stops as soon as its intersection reaches
+/// [`MetricKind::min_intersection`] or can no longer reach it.
+pub fn first_within(
+    entries: &[PackedErrors],
+    probe: &PackedErrors,
+    kind: MetricKind,
+    threshold: f64,
+) -> (Option<usize>, u64) {
+    if entries.is_empty() {
+        return (None, 0);
+    }
+    let view = DenseView::new(probe);
+    let hit = entries.iter().position(|e| {
+        kind.min_intersection(e.weight(), view.weight(), threshold)
+            .is_some_and(|need| e.intersects_at_least(&view, need))
+    });
+    let compared = hit.map_or(entries.len(), |j| j + 1);
+    (hit, compared as u64)
 }
 
 /// Scores every entry against `probe`: `out[i]` is the distance from

@@ -7,16 +7,19 @@
 //! pay full modified-Jaccard distance, and scores them through
 //! [`FingerprintDb::closest_among`] under the database's read lock; the
 //! dispatcher (see [`crate::pool`]) runs many identifies side by side on
-//! the kernel pool. Mutations (characterize, cluster-ingest) are serialized
-//! by the dispatcher and take the write locks they need.
+//! the kernel pool. A cluster-ingest is one [`ClusterBook::ingest`]: the
+//! output is expanded to a dense view once and each cluster's bit test
+//! stops at the threshold decision. Mutations (characterize,
+//! cluster-ingest) are serialized by the dispatcher and take the write
+//! locks they need.
 
 use parking_lot::{Mutex, RwLock};
-use pc_kernels::{distance_packed, MetricKind, PackedErrors, Parallelism};
+use pc_kernels::{MetricKind, Parallelism};
 use pc_telemetry::counter;
-use probable_cause::batch::add_comparisons;
 use probable_cause::persistence::{self, DbIoError};
 use probable_cause::{
-    DistanceMetric, ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance,
+    Assignment, ClusterBook, DistanceMetric, ErrorString, Fingerprint, FingerprintDb, LshIndex,
+    PcDistance,
 };
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -64,11 +67,6 @@ pub enum StoreError {
         /// The missing entry id.
         id: usize,
     },
-    /// A cluster id vanished between match and refine.
-    MissingCluster {
-        /// The missing cluster id.
-        cluster: usize,
-    },
     /// A refine failed (observation size disagrees with the fingerprint).
     Refine(String),
 }
@@ -80,9 +78,6 @@ impl std::fmt::Display for StoreError {
                 write!(f, "store plan group {shard} does not exist")
             }
             StoreError::MissingEntry { id } => write!(f, "store has no entry {id}"),
-            StoreError::MissingCluster { cluster } => {
-                write!(f, "cluster {cluster} does not exist")
-            }
             StoreError::Refine(message) => f.write_str(message),
         }
     }
@@ -113,16 +108,14 @@ const SAVE_BATCH: usize = 64;
 #[derive(Debug)]
 pub struct ShardedStore {
     config: StoreConfig,
-    metric: PcDistance,
     /// Every fingerprint (id = insertion order) with its packed mirror.
     db: RwLock<FingerprintDb<String, PcDistance>>,
     index: RwLock<LshIndex>,
     /// label → entry id. Held across every `characterize` and every index
     /// rebuild, so the two never interleave.
     labels: Mutex<BTreeMap<String, u32>>,
-    /// Algorithm 4 state for `cluster-ingest`: each cluster's fingerprint
-    /// with its packed mirror (rebuilt on refine).
-    clusters: Mutex<Vec<(Fingerprint, PackedErrors)>>,
+    /// Algorithm 4 state for `cluster-ingest`.
+    clusters: Mutex<ClusterBook>,
     distance_evals: AtomicU64,
     /// Degraded mode: the routing index is absent or rebuilding; identifies
     /// fall back to a full linear scan and index writes are skipped.
@@ -182,13 +175,16 @@ impl ShardedStore {
             .enumerate()
             .map(|(id, (label, _))| (label.clone(), id as u32))
             .collect();
+        // `PcDistance` always has a packed form; the fallback only keeps
+        // this path panic-free.
+        let kind = PcDistance::new().kind().unwrap_or(MetricKind::PcJaccard);
+        let clusters = ClusterBook::new(kind, config.threshold);
         Self {
             config,
-            metric: PcDistance::new(),
             db: RwLock::new(db),
             index: RwLock::new(index),
             labels: Mutex::new(labels),
-            clusters: Mutex::new(Vec::new()),
+            clusters: Mutex::new(clusters),
             distance_evals: AtomicU64::new(0),
             degraded: AtomicBool::new(degraded),
             applied_wseq: AtomicU64::new(0),
@@ -255,12 +251,6 @@ impl ShardedStore {
     /// Full distance evaluations paid by scoring since construction.
     pub fn distance_evals(&self) -> u64 {
         self.distance_evals.load(Ordering::Relaxed)
-    }
-
-    /// The packed-kernel form of the metric. [`PcDistance`] always has one;
-    /// the fallback only exists to keep this path panic-free.
-    fn kind(&self) -> MetricKind {
-        self.metric.kind().unwrap_or(MetricKind::PcJaccard)
     }
 
     /// The ids `errors` must be scored against: the LSH candidates, or
@@ -417,8 +407,8 @@ impl ShardedStore {
     }
 
     /// Online Algorithm 4: assigns `errors` to the first cluster within the
-    /// threshold (refining it) or seeds a new one. Returns
-    /// `(cluster_id, seeded, total_clusters)`.
+    /// threshold (refining it) or seeds a new one, through the store's
+    /// [`ClusterBook`]. Returns `(cluster_id, seeded, total_clusters)`.
     ///
     /// First-match semantics follow the paper's pseudocode; ingests are
     /// serialized by the dispatcher, so cluster ids are deterministic for a
@@ -427,44 +417,25 @@ impl ShardedStore {
     /// # Errors
     ///
     /// [`StoreError::Refine`] when the observation's size disagrees with
-    /// the matched cluster's fingerprint.
+    /// the matched cluster's fingerprint; the book is left unchanged.
     pub fn cluster_ingest(&self, errors: &ErrorString) -> Result<(u64, bool, u64), StoreError> {
         let _span = pc_telemetry::time!("service.store.cluster_ingest");
-        let probe = errors.to_packed();
-        let kind = self.kind();
         let mut clusters = self.clusters.lock();
-        let mut compared = 0u64;
-        let mut matched = None;
-        for (j, (_, packed)) in clusters.iter().enumerate() {
-            compared += 1;
-            if distance_packed(packed, &probe, kind) < self.config.threshold {
-                matched = Some(j);
-                break;
-            }
-        }
+        let outcome = clusters.ingest(errors);
+        let compared = match &outcome {
+            Ok(assigned) => assigned.compared,
+            Err(refused) => refused.compared,
+        };
         self.distance_evals.fetch_add(compared, Ordering::Relaxed);
-        add_comparisons(kind, compared);
-        match matched {
-            Some(j) => {
-                let total = clusters.len() as u64;
-                let Some(entry) = clusters.get_mut(j) else {
-                    return Err(StoreError::MissingCluster { cluster: j });
-                };
-                let refined = entry
-                    .0
-                    .refine(errors)
-                    .map_err(|e| StoreError::Refine(format!("cannot refine cluster {j}: {e}")))?;
-                let packed = refined.errors().to_packed();
-                *entry = (refined, packed);
-                counter!("service.store.cluster.refined").incr();
-                Ok((j as u64, false, total))
-            }
-            None => {
-                clusters.push((Fingerprint::from_observation(errors.clone()), probe));
-                counter!("service.store.cluster.seeded").incr();
-                Ok((clusters.len() as u64 - 1, true, clusters.len() as u64))
-            }
+        let Assignment {
+            cluster, seeded, ..
+        } = outcome.map_err(|refused| StoreError::Refine(refused.to_string()))?;
+        if seeded {
+            counter!("service.store.cluster.seeded").incr();
+        } else {
+            counter!("service.store.cluster.refined").incr();
         }
+        Ok((cluster as u64, seeded, clusters.len() as u64))
     }
 
     /// Records that a routed write stamped with `wseq` was processed
@@ -679,6 +650,34 @@ mod tests {
             (0, false, 2)
         );
         assert_eq!(store.cluster_count(), 2);
+    }
+
+    #[test]
+    fn cluster_ingest_refuses_a_size_mismatched_first_match() {
+        let store = ShardedStore::new(StoreConfig {
+            threshold: 0.3,
+            ..StoreConfig::default()
+        });
+        store.cluster_ingest(&es(&[1, 2, 3, 4])).unwrap();
+        store.cluster_ingest(&es(&[100, 200, 300, 400])).unwrap();
+        let before = store.clusters.lock().clusters().to_vec();
+        let evals = store.distance_evals();
+        // Positions are compared verbatim, so a wider string can match.
+        let wider = ErrorString::from_sorted(vec![100, 200, 300, 400], 8192).unwrap();
+        assert_eq!(
+            store.cluster_ingest(&wider),
+            Err(StoreError::Refine(
+                "cannot refine cluster 1: size mismatch: 4096 bits vs 8192 bits".to_string()
+            ))
+        );
+        assert_eq!(store.distance_evals() - evals, 2, "both clusters compared");
+        assert_eq!(store.cluster_count(), 2);
+        assert_eq!(store.clusters.lock().clusters(), before.as_slice());
+        // The book keeps serving: a matching output refines cluster 1.
+        assert_eq!(
+            store.cluster_ingest(&es(&[100, 200, 300, 401])).unwrap(),
+            (1, false, 2)
+        );
     }
 
     #[test]

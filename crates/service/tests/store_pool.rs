@@ -3,7 +3,9 @@
 //! and 4 kernel threads must equal a serial [`FingerprintDb`] replay in
 //! admission order; a scoring panic fails only its own request; and a
 //! store opened from a saved database and index adopts the index without
-//! re-signing a single entry.
+//! re-signing a single entry. Cluster-ingests are checked against
+//! Algorithm 4's scalar per-pair path ([`ScalarPc`]), not the
+//! `ClusterBook` the store runs.
 //!
 //! The fault registry, the kernel thread override and the telemetry
 //! counters are process-wide, so every test here serializes on one mutex.
@@ -16,8 +18,11 @@ use pc_service::store::{ShardedStore, StoreConfig};
 use pc_service::ServiceClient;
 use pc_telemetry::trace::Tracer;
 use probable_cause::persistence::{save_db_to_path, save_index_to_path};
-use probable_cause::{cluster, ErrorString, Fingerprint, FingerprintDb, PcDistance};
+use probable_cause::{
+    cluster, DistanceMetric, ErrorString, Fingerprint, FingerprintDb, PcDistance,
+};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -68,6 +73,38 @@ fn device_output(d: u64, r: u64) -> ErrorString {
     let mut bits: Vec<u64> = (0..50).map(|i| 5_000 + d * 200 + i).collect();
     bits.push(30_000 + r % 2_000);
     es(bits)
+}
+
+/// [`PcDistance`] with its packed form hidden, counting its calls:
+/// `cluster` then takes the scalar per-pair path, an Algorithm 4 oracle
+/// independent of the `ClusterBook` the store runs.
+#[derive(Default)]
+struct ScalarPc(AtomicU64);
+
+impl DistanceMetric for ScalarPc {
+    fn distance(&self, fingerprint: &ErrorString, error_string: &ErrorString) -> f64 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        PcDistance::new().distance(fingerprint, error_string)
+    }
+    fn name(&self) -> &'static str {
+        "pc-jaccard (scalar)"
+    }
+}
+
+/// The `(cluster, seeded, clusters)` answers of a serial cluster-ingest
+/// stream, read off the scalar oracle's assignments.
+fn clustered(ingests: &[ErrorString]) -> (Vec<(u64, bool, u64)>, u64) {
+    let metric = ScalarPc::default();
+    let assignments = cluster(ingests, &metric, THRESHOLD).assignments().to_vec();
+    let answers = (0..assignments.len())
+        .map(|i| {
+            let cluster = assignments[i];
+            let seeded = !assignments[..i].contains(&cluster);
+            let clusters = assignments[..=i].iter().max().map_or(0, |m| m + 1);
+            (cluster as u64, seeded, clusters as u64)
+        })
+        .collect();
+    (answers, metric.0.load(Ordering::Relaxed))
 }
 
 fn store_config() -> StoreConfig {
@@ -162,8 +199,7 @@ fn oracle(mut db: FingerprintDb<String, PcDistance>, requests: &[Request]) -> Ve
             _ => None,
         })
         .collect();
-    let clustering = cluster(&ingests, &PcDistance::new(), THRESHOLD);
-    let mut ingested = 0usize;
+    let mut clustered = clustered(&ingests).0.into_iter();
     requests
         .iter()
         .map(|request| match request {
@@ -196,15 +232,11 @@ fn oracle(mut db: FingerprintDb<String, PcDistance>, requests: &[Request]) -> Ve
                 }
             }
             Request::ClusterIngest { .. } => {
-                let assignments = clustering.assignments();
-                let cluster = assignments[ingested];
-                ingested += 1;
-                let seeded = !assignments[..ingested - 1].contains(&cluster);
-                let clusters = assignments[..ingested].iter().max().map_or(0, |m| m + 1);
+                let (cluster, seeded, clusters) = clustered.next().unwrap();
                 Response::Clustered {
-                    cluster: cluster as u64,
+                    cluster,
                     seeded,
-                    clusters: clusters as u64,
+                    clusters,
                 }
             }
             other => panic!("traffic never holds {other:?}"),
@@ -274,6 +306,90 @@ fn pool_answers_equal_the_serial_db_oracle_at_every_thread_count() {
         }
     }
     set_auto_thread_override(None);
+}
+
+/// Outputs of `devices` devices, each holding `per_block[b]` stable bits
+/// in block `b` of a `size`-bit string, seen `rounds` times at noise levels
+/// on both sides of [`THRESHOLD`].
+fn ingest_stream(
+    seed: u64,
+    size: u64,
+    per_block: &[u64],
+    devices: u64,
+    rounds: u64,
+) -> Vec<ErrorString> {
+    let stable: Vec<Vec<u64>> = (0..devices)
+        .map(|d| {
+            per_block
+                .iter()
+                .enumerate()
+                .flat_map(|(b, &n)| {
+                    let lo = b as u64 * 32_768;
+                    let len = 32_768.min(size - lo);
+                    (0..n).map(move |i| {
+                        lo + pc_stats::mix64(seed ^ d << 40 ^ (b as u64) << 32 ^ i) % len
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    (0..rounds * devices)
+        .map(|k| {
+            let r = pc_stats::mix64(seed ^ k);
+            // Drop about 1/20, 1/6 or 1/3 of the device's bits (distance
+            // ≈ 0.05, 0.17, 0.33 against the 0.3 threshold), add strays.
+            let drop_every = [20, 6, 3][(r % 3) as usize];
+            let kept = stable[(k % devices) as usize]
+                .iter()
+                .copied()
+                .filter(|&b| !pc_stats::mix64(b ^ r).is_multiple_of(drop_every));
+            let strays = (0..(r >> 8) % 40).map(|i| pc_stats::mix64(r ^ i) % size);
+            ErrorString::from_unsorted(kept.chain(strays).collect(), size).unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn cluster_ingest_equals_the_scalar_algorithm_4_oracle() {
+    let _serial = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let empty = |size| ErrorString::from_sorted(Vec::new(), size).unwrap();
+    let sparse = ingest_stream(1, SIZE, &[312], 16, 6);
+    let dense = ingest_stream(2, SIZE, &[3_000], 6, 4);
+    let ragged = 3 * SIZE + 1_000;
+    let mut multi = ingest_stream(3, ragged, &[300, 2_200, 0, 400], 8, 4);
+    multi.insert(5, empty(ragged));
+    multi.push(empty(ragged));
+    let mut empty_first = vec![empty(SIZE)];
+    empty_first.extend(sparse.iter().take(10).cloned());
+    for (name, stream) in [
+        ("sparse", sparse),
+        ("dense", dense),
+        ("multi-block", multi),
+        ("empty first", empty_first),
+    ] {
+        let store = ShardedStore::new(store_config());
+        let answers: Vec<(u64, bool, u64)> = stream
+            .iter()
+            .map(|errors| store.cluster_ingest(errors).unwrap())
+            .collect();
+        let (expected, distance_calls) = clustered(&stream);
+        assert_eq!(answers, expected, "{name} stream");
+        assert_eq!(store.distance_evals(), distance_calls, "{name} stream");
+        let clusters = store.cluster_count();
+        assert_eq!(
+            Some(clusters as u64),
+            expected.last().map(|a| a.2),
+            "{name} stream"
+        );
+        if name == "sparse" {
+            // Noise on both sides of the threshold: some outputs refine a
+            // cluster, some re-observations seed another.
+            assert!(
+                16 < clusters && clusters < stream.len(),
+                "{clusters} clusters"
+            );
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,6 @@
 
 use crate::{AccuracyTarget, DecayMedium};
 use pc_dram::{ChipProfile, Conditions};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the measured calibration samples the medium and when it stops.
@@ -15,7 +14,7 @@ use std::fmt;
 /// let cfg = CalibrationConfig::default();
 /// assert!(cfg.max_iterations >= 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// Maximum bisection steps before giving up.
     pub max_iterations: u32,

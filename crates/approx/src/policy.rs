@@ -9,10 +9,9 @@
 
 use crate::{AccuracyTarget, CalibrationError};
 use pc_dram::{Conditions, DramChip, RefreshPlan};
-use serde::{Deserialize, Serialize};
 
 /// How refresh intervals are assigned across rows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RefreshPolicy {
     /// One interval for the whole array (the paper's platform).
     Uniform,

@@ -1,6 +1,5 @@
 //! Accuracy targets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A storage accuracy target: the fraction of worst-case (all-charged) bits
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert!(AccuracyTarget::percent(100.0).is_err()); // exact storage is not approximate
 /// # Ok::<(), pc_approx::TargetError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct AccuracyTarget {
     accuracy: f64,
 }

@@ -1,6 +1,5 @@
 //! Error strings: sparse, validated sets of error bit positions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing an [`ErrorString`].
@@ -59,7 +58,7 @@ impl std::error::Error for BitStringError {}
 /// assert_eq!(a.difference_count(&b), 1); // bit 1
 /// # Ok::<(), probable_cause::BitStringError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ErrorString {
     bits: Vec<u64>,
     size: u64,

@@ -2,7 +2,6 @@
 
 use crate::ErrorString;
 use pc_kernels::MetricKind;
-use serde::{Deserialize, Serialize};
 
 /// A distance in `[0, 1]` between a fingerprint's error string and an
 /// output's error string: 0 = certainly the same device, 1 = unrelated.
@@ -54,7 +53,7 @@ pub trait DistanceMetric {
 /// assert_eq!(PcDistance::new().distance(&fp, &other), 1.0);
 /// # Ok::<(), probable_cause::BitStringError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcDistance {
     _private: (),
 }
@@ -98,7 +97,7 @@ impl DistanceMetric for PcDistance {
 /// Fails when fingerprint and output were collected at different accuracy
 /// levels: a same-chip pair at 99% vs 90% differs in most of the 90% errors,
 /// inflating the distance past that of cross-chip pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HammingDistance {
     _private: (),
 }
@@ -132,7 +131,7 @@ impl DistanceMetric for HammingDistance {
 /// Plain Jaccard distance, `1 − |A∩B| / |A∪B|` — a second baseline, better
 /// than Hamming but still penalizing accuracy mismatch (the extra errors of
 /// the heavier side land in the denominator).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JaccardDistance {
     _private: (),
 }

@@ -1,7 +1,6 @@
 //! Fingerprints: the stable cores of error patterns.
 
 use crate::ErrorString;
-use serde::{Deserialize, Serialize};
 
 /// A device (or page) fingerprint: the error bits that survived intersection
 /// across every observed output, plus how many observations back it.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fp.observations(), 2);
 /// # Ok::<(), probable_cause::BitStringError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     errors: ErrorString,
     observations: u32,

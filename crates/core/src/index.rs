@@ -95,6 +95,14 @@ impl LshIndex {
         self.keys.is_empty()
     }
 
+    /// Whether the indexed ids are exactly `0..n`, as for a
+    /// [`crate::FingerprintDb`] of `n` entries: `n` distinct ids whose
+    /// largest is `n - 1`.
+    pub fn covers(&self, n: usize) -> bool {
+        let last = self.keys.last_key_value().map(|(&id, _)| id as usize);
+        self.keys.len() == n && last.is_none_or(|last| last + 1 == n)
+    }
+
     /// Indexes `errors` under `id`, replacing any previous entry for `id`
     /// (re-indexing after a fingerprint was refined).
     pub fn insert(&mut self, id: u32, errors: &ErrorString) {
@@ -219,6 +227,21 @@ mod tests {
             idx.candidates(&probe).len() <= 2,
             "unrelated probe should hit almost no buckets"
         );
+    }
+
+    #[test]
+    fn covers_only_exactly_the_ids_below_n() {
+        let mut idx = LshIndex::new(8, 2, 7);
+        assert!(idx.covers(0));
+        for id in 0..3 {
+            idx.insert(id, &chip(id as u64));
+        }
+        assert!(idx.covers(3));
+        assert!(!idx.covers(2) && !idx.covers(4));
+        // Three entries, but id 5 where the database has id 2.
+        idx.remove(2);
+        idx.insert(5, &chip(2));
+        assert!(!idx.covers(3));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! against it in another — the paper's supply-chain scenario spans months
 //! between interception and deanonymization.
 //!
-//! Format (line-oriented, UTF-8; version 2 adds the checksum trailer):
+//! Format (line-oriented, UTF-8, version 2):
 //!
 //! ```text
 //! probable-cause-db 2
@@ -13,14 +13,13 @@
 //! ```
 //!
 //! Labels are percent-encoded (`%20` for space etc.) so arbitrary strings
-//! survive; positions are ascending decimal integers. Version-1 files (no
-//! trailer) still load; writers always emit version 2, whose trailer turns
-//! every truncation or bit flip into a load error instead of a silently
-//! partial database.
+//! survive; positions are ascending decimal integers. The checksum trailer
+//! turns every truncation or bit flip into a load error instead of a
+//! silently partial database.
 //!
 //! The companion index format ([`save_index`] / [`load_index`]) persists an
-//! [`LshIndex`]'s bucket layout so `pc-service` restarts recover their shard
-//! routing without re-signing every fingerprint:
+//! [`LshIndex`]'s bucket layout so `pc-service` restarts recover their
+//! routing index without re-signing every fingerprint:
 //!
 //! ```text
 //! probable-cause-index 2
@@ -97,9 +96,7 @@ impl From<io::Error> for DbIoError {
     }
 }
 
-const DB_HEADER_V1: &str = "probable-cause-db 1";
 const DB_HEADER_V2: &str = "probable-cause-db 2";
-const INDEX_HEADER_V1: &str = "probable-cause-index 1";
 const INDEX_HEADER_V2: &str = "probable-cause-index 2";
 
 /// CRC-32 (IEEE, reflected — the zip/png polynomial) of every byte value,
@@ -215,68 +212,60 @@ fn split_lines(text: &str) -> Vec<(usize, usize, &str)> {
     lines
 }
 
-/// Validates the header and, for version-2 files, the `crc32` trailer;
-/// returns the body as `(line number, content)` pairs — every line after the
-/// header, minus the trailer.
+/// Validates the version-2 header and the `crc32` trailer; returns the body
+/// as `(line number, content)` pairs — every line after the header, minus
+/// the trailer.
 fn open_envelope<'a>(
     text: &'a str,
-    header_v1: &str,
-    header_v2: &str,
+    header: &str,
     bad_header: &str,
 ) -> Result<Vec<(usize, &'a str)>, DbIoError> {
     let bad = |line: usize, message: String| DbIoError::BadFormat { line, message };
     let lines = split_lines(text);
-    let Some(&(_, _, header)) = lines.first() else {
+    let Some(&(_, _, first)) = lines.first() else {
         return Err(bad(1, "empty file".to_string()));
     };
-    let checksummed = if header.trim() == header_v2 {
-        true
-    } else if header.trim() == header_v1 {
-        false
-    } else {
+    if first.trim() != header {
         return Err(bad(1, bad_header.to_string()));
-    };
-    let mut body = lines[1..].to_vec();
-    if checksummed {
-        if !text.ends_with('\n') {
-            return Err(bad(
-                lines.len(),
-                "final line is not newline-terminated (file truncated?)".to_string(),
-            ));
-        }
-        // The trailer must be the last non-blank line; anything truncated
-        // away or appended after it fails here.
-        let Some(pos) = body.iter().rposition(|(_, _, l)| !l.trim().is_empty()) else {
-            return Err(bad(
-                lines.len(),
-                "missing crc32 trailer (file truncated?)".to_string(),
-            ));
-        };
-        let (line_no, offset, trailer) = body[pos];
-        let Some(hex) = trailer.trim().strip_prefix("crc32 ") else {
-            return Err(bad(
-                line_no,
-                "missing crc32 trailer (file truncated?)".to_string(),
-            ));
-        };
-        let hex = hex.trim();
-        // Strictly 8 lowercase hex digits — the canonical rendering — so a
-        // bit flip inside the trailer itself can never alias its own value.
-        let canonical =
-            hex.len() == 8 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-        let stated = canonical
-            .then(|| u32::from_str_radix(hex, 16).ok())
-            .flatten()
-            .ok_or_else(|| bad(line_no, format!("unparsable crc32 trailer {hex:?}")))?;
-        let actual = crc32(&text.as_bytes()[..offset]);
-        if stated != actual {
-            return Err(bad(
-                line_no,
-                format!("crc32 mismatch: trailer says {stated:08x}, contents hash to {actual:08x}"),
-            ));
-        }
-        body.truncate(pos);
     }
+    if !text.ends_with('\n') {
+        return Err(bad(
+            lines.len(),
+            "final line is not newline-terminated (file truncated?)".to_string(),
+        ));
+    }
+    let mut body = lines[1..].to_vec();
+    // The trailer must be the last non-blank line; anything truncated away
+    // or appended after it fails here.
+    let Some(pos) = body.iter().rposition(|(_, _, l)| !l.trim().is_empty()) else {
+        return Err(bad(
+            lines.len(),
+            "missing crc32 trailer (file truncated?)".to_string(),
+        ));
+    };
+    let (line_no, offset, trailer) = body[pos];
+    let Some(hex) = trailer.trim().strip_prefix("crc32 ") else {
+        return Err(bad(
+            line_no,
+            "missing crc32 trailer (file truncated?)".to_string(),
+        ));
+    };
+    let hex = hex.trim();
+    // Strictly 8 lowercase hex digits — the canonical rendering — so a bit
+    // flip inside the trailer itself can never alias its own value.
+    let canonical = hex.len() == 8 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    let stated = canonical
+        .then(|| u32::from_str_radix(hex, 16).ok())
+        .flatten()
+        .ok_or_else(|| bad(line_no, format!("unparsable crc32 trailer {hex:?}")))?;
+    let actual = crc32(&text.as_bytes()[..offset]);
+    if stated != actual {
+        return Err(bad(
+            line_no,
+            format!("crc32 mismatch: trailer says {stated:08x}, contents hash to {actual:08x}"),
+        ));
+    }
+    body.truncate(pos);
     Ok(body.into_iter().map(|(n, _, l)| (n, l)).collect())
 }
 
@@ -362,8 +351,7 @@ pub fn save_db<W: Write>(db: &FingerprintDb<String, PcDistance>, w: W) -> io::Re
 }
 
 /// Reads a string-labelled database from `r` (paper metric, stored
-/// threshold). Accepts version 2 (trailer verified) and version 1 (no
-/// trailer) files.
+/// threshold), verifying the version-2 checksum trailer.
 ///
 /// A `&mut` reference may be passed as the reader.
 ///
@@ -378,12 +366,7 @@ pub fn load_db<R: BufRead>(mut r: R) -> Result<FingerprintDb<String, PcDistance>
         line,
         message: message.to_string(),
     };
-    let body = open_envelope(
-        &text,
-        DB_HEADER_V1,
-        DB_HEADER_V2,
-        "missing or unsupported header",
-    )?;
+    let body = open_envelope(&text, DB_HEADER_V2, "missing or unsupported header")?;
     let mut lines = body.into_iter();
 
     let (threshold_no, threshold_line) = lines.next().ok_or_else(|| bad(2, "missing threshold"))?;
@@ -459,8 +442,8 @@ pub fn save_index<W: Write>(index: &LshIndex, w: W) -> io::Result<()> {
     out.finish()
 }
 
-/// Reads an [`LshIndex`] layout from `r`. Accepts version 2 (trailer
-/// verified) and version 1 (no trailer) files.
+/// Reads an [`LshIndex`] layout from `r`, verifying the version-2 checksum
+/// trailer.
 ///
 /// A `&mut` reference may be passed as the reader.
 ///
@@ -478,7 +461,6 @@ pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
     };
     let body = open_envelope(
         &text,
-        INDEX_HEADER_V1,
         INDEX_HEADER_V2,
         "missing or unsupported index header",
     )?;
@@ -809,18 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let mut buf = Vec::new();
-        save_db(&sample_db(), &mut buf).unwrap();
-        let v2 = String::from_utf8(buf).unwrap();
-        // Strip the trailer and downgrade the header: a pre-checksum file.
-        let body = v2.rsplit_once("crc32 ").unwrap().0;
-        let v1 = body.replacen("probable-cause-db 2", "probable-cause-db 1", 1);
-        let loaded = load_db(v1.as_bytes()).unwrap();
-        assert_eq!(loaded.len(), sample_db().len());
-    }
-
-    #[test]
     fn every_truncation_is_rejected() {
         let mut buf = Vec::new();
         save_db(&sample_db(), &mut buf).unwrap();
@@ -851,28 +821,40 @@ mod tests {
         }
     }
 
+    /// `text` sealed with a valid `crc32` trailer.
+    fn sealed(text: &str) -> Vec<u8> {
+        format!("{text}crc32 {:08x}\n", crc32(text.as_bytes())).into_bytes()
+    }
+
     #[test]
     fn rejects_bad_header() {
-        let err = load_db(Cursor::new(b"nope\n".to_vec())).unwrap_err();
-        assert!(matches!(err, DbIoError::BadFormat { line: 1, .. }));
+        // A version-1 file (no trailer) is refused like any other header.
+        for data in [
+            b"nope\n".to_vec(),
+            b"probable-cause-db 1\nthreshold 0.2\nfp x 64 1 3,5\n".to_vec(),
+            sealed("probable-cause-db 1\nthreshold 0.2\n"),
+        ] {
+            let err = load_db(Cursor::new(data)).unwrap_err();
+            assert!(matches!(err, DbIoError::BadFormat { line: 1, .. }));
+        }
     }
 
     #[test]
     fn rejects_bad_threshold() {
-        let err = load_db(Cursor::new(b"probable-cause-db 1\nthreshold 7\n".to_vec())).unwrap_err();
+        let err = load_db(Cursor::new(sealed("probable-cause-db 2\nthreshold 7\n"))).unwrap_err();
         assert!(matches!(err, DbIoError::BadFormat { line: 2, .. }));
     }
 
     #[test]
     fn rejects_unsorted_positions() {
-        let data = b"probable-cause-db 1\nthreshold 0.2\nfp x 64 1 5,3\n".to_vec();
+        let data = sealed("probable-cause-db 2\nthreshold 0.2\nfp x 64 1 5,3\n");
         let err = load_db(Cursor::new(data)).unwrap_err();
         assert!(matches!(err, DbIoError::BadFormat { line: 3, .. }));
     }
 
     #[test]
     fn skips_blank_lines() {
-        let data = b"probable-cause-db 1\nthreshold 0.2\n\nfp x 64 1 3,5\n\n".to_vec();
+        let data = sealed("probable-cause-db 2\nthreshold 0.2\n\nfp x 64 1 3,5\n\n");
         let db = load_db(Cursor::new(data)).unwrap();
         assert_eq!(db.len(), 1);
     }
@@ -943,26 +925,35 @@ mod tests {
 
     #[test]
     fn index_load_rejects_malformed_input() {
-        let cases: &[(&[u8], usize)] = &[
-            (b"nope\n", 1),
-            (b"probable-cause-index 1\nminhash 0 2 1\n", 2),
-            (b"probable-cause-index 1\nminhash 2 2\n", 2),
-            (b"probable-cause-index 1\nminhash 2 2 1\nentries x\n", 3),
+        let cases = [
+            (b"nope\n".to_vec(), 1),
             (
-                b"probable-cause-index 1\nminhash 2 2 1\nentries 1\nbucket 5 1,1\n",
+                b"probable-cause-index 1\nminhash 2 2 1\nentries 0\n".to_vec(),
+                1,
+            ),
+            (sealed("probable-cause-index 2\nminhash 0 2 1\n"), 2),
+            (sealed("probable-cause-index 2\nminhash 2 2\n"), 2),
+            (
+                sealed("probable-cause-index 2\nminhash 2 2 1\nentries x\n"),
+                3,
+            ),
+            (
+                sealed("probable-cause-index 2\nminhash 2 2 1\nentries 1\nbucket 5 1,1\n"),
                 4,
             ),
             (
-                b"probable-cause-index 1\nminhash 2 2 1\nentries 1\nbucket 9 0\nbucket 4 0\n",
+                sealed(
+                    "probable-cause-index 2\nminhash 2 2 1\nentries 1\nbucket 9 0\nbucket 4 0\n",
+                ),
                 5,
             ),
             (
-                b"probable-cause-index 1\nminhash 2 2 1\nentries 3\nbucket 5 0\n",
+                sealed("probable-cause-index 2\nminhash 2 2 1\nentries 3\nbucket 5 0\n"),
                 3,
             ),
         ];
-        for (data, line) in cases {
-            let err = load_index(Cursor::new(data.to_vec())).unwrap_err();
+        for (data, line) in &cases {
+            let err = load_index(Cursor::new(data.clone())).unwrap_err();
             match err {
                 DbIoError::BadFormat { line: l, .. } => {
                     assert_eq!(

@@ -2,12 +2,11 @@
 
 use crate::stitch::MinHasher;
 use crate::{ErrorString, Fingerprint, PcDistance};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a cluster's page fingerprint absorbs a new observation of the same
 /// physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineRule {
     /// Intersection (Algorithm 1): keeps only always-failing cells. Right
     /// when outputs charge (approximately) every cell — the paper's
@@ -20,7 +19,7 @@ pub enum RefineRule {
 }
 
 /// Stitcher configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StitchConfig {
     /// Page-match threshold for the distance metric during alignment
     /// verification.

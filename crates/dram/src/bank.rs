@@ -1,7 +1,6 @@
 //! Multi-chip banks: a flat address space over several chips.
 
 use crate::{ChipId, ChipProfile, Conditions, DramChip, MaskId};
-use serde::{Deserialize, Serialize};
 
 /// A bank of identical-profile DRAM chips presenting one flat byte-addressable
 /// space, the way a DIMM presents several devices as one memory.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let errs = bank.errors_at(0, &vec![0xFF; 64], &cond);
 /// assert!(errs.iter().all(|&c| c < 64 * 8));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramBank {
     chips: Vec<DramChip>,
 }

@@ -2,16 +2,15 @@
 
 use crate::{ChipProfile, Conditions};
 use pc_stats::{normal_cdf, probit, CellHasher};
-use serde::{Deserialize, Serialize};
 
 /// Serial number of a fabricated chip. Seeds the chip-random (leakage)
 /// variation plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChipId(pub u64);
 
 /// Identifier of the mask set a chip was fabricated from. Chips sharing a
 /// mask share the (minor) capacitance component of their variation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MaskId(pub u64);
 
 // Tags for carving independent random planes out of the chip/mask seeds.
@@ -43,7 +42,7 @@ const TAG_TRANSIENT: u64 = 5;
 /// let approx = chip.readback(&data, &cond);
 /// assert_eq!(approx.len(), data.len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramChip {
     profile: ChipProfile,
     id: ChipId,

@@ -1,7 +1,5 @@
 //! Operating conditions of a decay experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// The environment a buffer experiences while resident in approximate DRAM:
 /// ambient temperature, the time charged cells go unrefreshed, and a trial
 /// number that selects the per-run noise realization.
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.refresh_interval_s(), 4.0);
 /// assert_eq!(c.trial_id(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Conditions {
     temperature_c: f64,
     refresh_interval_s: f64,

@@ -1,7 +1,5 @@
 //! Chip geometry: rows, row width, and the default-value striping.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical layout of a DRAM chip.
 ///
 /// All DRAM operations (refresh in particular) have row granularity (paper
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!g.default_bit(0));
 /// assert!(g.default_bit(2 * 1024));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChipGeometry {
     rows: u32,
     bits_per_row: u32,

@@ -2,7 +2,6 @@
 
 use crate::{ChipGeometry, TemperatureModel, VariationMix};
 use pc_stats::VolatilityDistribution;
-use serde::{Deserialize, Serialize};
 
 /// Everything that characterizes a DRAM *part* (as opposed to an individual
 /// chip): geometry, retention-time distribution, variation mix, temperature
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let p = ChipProfile::km41464a();
 /// assert_eq!(p.geometry().capacity_bytes(), 32 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipProfile {
     name: String,
     geometry: ChipGeometry,

@@ -8,7 +8,6 @@
 //! evaluates decay under it.
 
 use crate::{Conditions, DramChip};
-use serde::{Deserialize, Serialize};
 
 /// A per-row refresh schedule: `interval(row)` seconds between refreshes of
 /// that row.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(plan.rows(), 4);
 /// assert_eq!(plan.interval(2), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefreshPlan {
     intervals: Vec<f64>,
 }

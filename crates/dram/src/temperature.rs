@@ -1,7 +1,5 @@
 //! Temperature dependence of cell retention.
 
-use serde::{Deserialize, Serialize};
-
 /// Exponential temperature acceleration of DRAM charge decay.
 ///
 /// Retention time is known to drop sharply with temperature (paper §7.3,
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((t40 - 1.0).abs() < 1e-12);
 /// assert!((t50 - 0.5).abs() < 1e-12); // retention halves at +10 °C
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemperatureModel {
     reference_c: f64,
     halving_interval_c: f64,

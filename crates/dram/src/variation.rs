@@ -1,7 +1,5 @@
 //! Process-variation mixing: mask-dependent vs. chip-random components.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative weights of the two manufacturing-variation sources the paper
 /// identifies (§2):
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let z = m.combine(1.0, -1.0);
 /// assert!(z.abs() <= 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationMix {
     mask_weight: f64,
     chip_weight: f64,

@@ -1,8 +1,6 @@
 //! Supply-voltage scaling — the second approximation knob (paper §2: energy
 //! schemes "lower the input voltage \[3\] or decrease the refresh rate").
 
-use serde::{Deserialize, Serialize};
-
 /// Maps supply voltage to a multiplicative retention scale.
 ///
 /// Charge stored is proportional to `(V − V_retain)`, and the time to drain
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((m.retention_scale(m.nominal_v()) - 1.0).abs() < 1e-12);
 /// assert!(m.retention_scale(1.2) < 0.2); // undervolting hurts retention fast
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageModel {
     nominal_v: f64,
     retain_v: f64,

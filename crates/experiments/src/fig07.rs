@@ -35,15 +35,13 @@ pub fn collect(platform: &Platform) -> DistanceSamples {
     // evaluation outputs, then the (cheap) distance matrix is scored inline.
     let outputs: Vec<Vec<(f64, f64, ErrorString)>> = {
         let mut outs: Vec<Option<Vec<(f64, f64, ErrorString)>>> = (0..n).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (c, slot) in outs.iter_mut().enumerate() {
-                let platform = &platform;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     *slot = Some(platform.evaluation_outputs(c, 20_000 + 100 * c as u64));
                 });
             }
-        })
-        .expect("worker threads do not panic");
+        });
         outs.into_iter()
             .map(|o| o.expect("filled by worker"))
             .collect()

@@ -219,12 +219,11 @@ pub fn run(out: &Path) -> io::Result<String> {
     let bench_json = format!(
         "{{\n  \"bench\": \"serving\",\n  \"chips\": {CHIPS},\n  \"clients\": {CLIENTS},\n  \
          \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"wall_ms\": {},\n  \"ops\": [\n{}\n  ],\n  \
-         \"queue_depth\": {},\n  \"slow_requests\": {},\n  \"degraded\": {}\n}}\n",
+         \"queue_depth\": {},\n  \"slow_requests\": {}\n}}\n",
         elapsed.as_millis(),
         rows.join(",\n"),
         metrics.queue_depth,
         metrics.slow_requests,
-        metrics.degraded,
     );
     std::fs::write(&bench_path, &bench_json)?;
 

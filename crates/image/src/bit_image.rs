@@ -1,7 +1,5 @@
 //! 1-bit (black & white) images.
 
-use serde::{Deserialize, Serialize};
-
 /// A black-and-white image, one bit per pixel.
 ///
 /// Fig. 5 of the paper stores a 200×154 B/W image in approximate DRAM;
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let back = BitImage::from_bytes(16, 2, &bytes);
 /// assert_eq!(img, back);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitImage {
     width: usize,
     height: usize,

@@ -1,7 +1,5 @@
 //! 8-bit grayscale images.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major 8-bit grayscale image.
 ///
 /// The byte buffer returned by [`GrayImage::as_bytes`] is exactly what gets
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(img.get(2, 1), 200);
 /// assert_eq!(img.as_bytes().len(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

@@ -59,5 +59,5 @@ pub mod simd;
 
 pub use hash::mix64;
 pub use packed::{DenseView, PackedErrors, BLOCK_BITS, DENSE_THRESHOLD};
-pub use pool::{chunk_size_for, map_chunked, run_chunked, set_auto_thread_override, Parallelism};
+pub use pool::{chunk_size_for, map_chunked, set_auto_thread_override, Parallelism};
 pub use score::{distance_packed, first_within, score_batch, score_subset, MetricKind};

@@ -20,14 +20,9 @@
 //! U003 pins `unsafe` to this module and `simd.rs`).
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-
-/// Legacy fixed chunk size, kept for callers that want explicit geometry.
-/// Batch scoring now sizes chunks adaptively — see [`chunk_size_for`].
-pub const DEFAULT_CHUNK: usize = 256;
 
 /// How many chunks each worker should see on average: enough that a slow
 /// chunk rebalances across the pool, few enough that the claim counter stays
@@ -374,35 +369,14 @@ fn with_output<R: Send, F: Fn(usize, &OutPtr<R>) + Sync>(
     out
 }
 
-/// Runs `work` over `0..n` in chunks of `chunk_size`, returning the per-chunk
-/// results ordered by chunk index. The output is identical for every thread
-/// count.
+/// Maps `f` over `0..n` in chunks of `chunk_size` claimed by the workers,
+/// writing each value straight into its slot of the output (one allocation
+/// per call, no per-chunk buffers), in index order, for every thread count.
 ///
 /// # Panics
 ///
 /// Panics if `chunk_size` is zero, or propagates the first worker panic
 /// (exactly once, after all sibling chunks have finished).
-pub fn run_chunked<R, F>(n: usize, chunk_size: usize, par: Parallelism, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk size must be positive");
-    let chunks = n.div_ceil(chunk_size);
-    let range = |c: usize| c * chunk_size..((c + 1) * chunk_size).min(n);
-    with_output(par, chunks, chunks, |c, out: &OutPtr<R>| {
-        let r = work(range(c));
-        // SAFETY: chunk `c` writes only slot `c`; slots are disjoint and in
-        // capacity (`chunks` total).
-        unsafe {
-            out.0.add(c).write(r);
-        }
-    })
-}
-
-/// [`run_chunked`] flattened: maps `f` over `0..n` with chunked workers,
-/// writing each value straight into its slot of the output (one allocation
-/// per call, no per-chunk buffers), in index order, for every thread count.
 pub fn map_chunked<R, F>(n: usize, chunk_size: usize, par: Parallelism, f: F) -> Vec<R>
 where
     R: Send,
@@ -438,11 +412,9 @@ mod tests {
 
     #[test]
     fn result_independent_of_thread_count() {
-        let reference = map_chunked(537, DEFAULT_CHUNK, Parallelism::single(), |i| i * i % 97);
+        let reference = map_chunked(537, 256, Parallelism::single(), |i| i * i % 97);
         for threads in 2..=5 {
-            let out = map_chunked(537, DEFAULT_CHUNK, Parallelism::new(threads), |i| {
-                i * i % 97
-            });
+            let out = map_chunked(537, 256, Parallelism::new(threads), |i| i * i % 97);
             assert_eq!(out, reference, "threads={threads}");
         }
     }
@@ -454,17 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_results_keep_chunk_order() {
-        let chunks = run_chunked(10, 3, Parallelism::new(3), |r| (r.start, r.end));
-        assert_eq!(chunks, vec![(0, 3), (3, 6), (6, 9), (9, 10)]);
-    }
-
-    #[test]
     fn worker_panic_propagates() {
         let r = std::panic::catch_unwind(|| {
-            run_chunked(8, 1, Parallelism::new(2), |r| {
-                assert!(r.start != 5, "boom");
-                r.start
+            map_chunked(8, 1, Parallelism::new(2), |i| {
+                assert!(i != 5, "boom");
+                i
             })
         });
         assert!(r.is_err());

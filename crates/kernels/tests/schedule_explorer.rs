@@ -4,7 +4,7 @@
 //! with zero deadlocks. Deterministic: no wall clock, no real timeouts —
 //! the watchdog is a bounded budget of spin-yield polls.
 
-use pc_kernels::pool::{map_chunked, run_chunked, Parallelism};
+use pc_kernels::pool::{map_chunked, Parallelism};
 use pc_kernels::sched::{run_bounded, site_steps, Schedule};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,14 +47,14 @@ fn workout() -> Vec<u64> {
             .fold(score(i), u64::wrapping_add)
     }));
 
-    // Panic path: one chunk panics; the pool must propagate it exactly
+    // Panic path: one task panics; the pool must propagate it exactly
     // once after all siblings finish, and stay usable afterwards.
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        run_chunked(32, 4, par, |range| {
-            if range.start == 16 {
+        map_chunked(32, 4, par, |i| {
+            if i == 16 {
                 panic!("schedule-explorer probe panic");
             }
-            range.map(score).sum::<u64>()
+            score(i)
         })
     }));
     out.push(u64::from(panicked.is_err()));

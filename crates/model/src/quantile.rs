@@ -1,7 +1,6 @@
 //! Quantile-based decay emulation for system-scale memories.
 
 use pc_stats::{probit, CellHasher};
-use serde::{Deserialize, Serialize};
 
 const TAG_ORDER: u64 = 11;
 const TAG_NOISE: u64 = 12;
@@ -34,7 +33,7 @@ const TAG_NOISE: u64 = 12;
 /// // Same trial: the 1%-error set nests inside the 10%-error set.
 /// assert!(e99.iter().all(|c| e90.binary_search(c).is_ok()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantileMemory {
     order_plane: CellHasher,
     noise_plane: CellHasher,

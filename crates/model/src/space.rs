@@ -1,7 +1,6 @@
 //! Equations 1–4: the fingerprint state space, log domain throughout.
 
 use pc_stats::{ln_binomial, log_sum_exp};
-use serde::{Deserialize, Serialize};
 
 const LN_10: f64 = std::f64::consts::LN_10;
 const LN_2: f64 = std::f64::consts::LN_2;
@@ -23,7 +22,7 @@ const LN_2: f64 = std::f64::consts::LN_2;
 /// // Paper: max unique fingerprints >= 1.07e590.
 /// assert!(lo > 580.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FingerprintSpace {
     memory_bits: u64,
     error_bits: u64,

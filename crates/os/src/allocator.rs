@@ -2,10 +2,9 @@
 
 use pc_stats::StreamRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Where the OS places an output's pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// The behaviour the paper observed via Valgrind (§7.6): each run lands
     /// in a *contiguous* run of physical pages whose start is effectively
@@ -23,7 +22,7 @@ pub enum PlacementPolicy {
 
 /// The physical placement of one output: `pages[v]` is the physical page
 /// backing virtual page `v`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     pages: Vec<u64>,
 }

@@ -1,10 +1,9 @@
 //! The victim system: memory + allocator + publish.
 
 use crate::{Allocator, EmulatedMemory, PageDecay, PlacementPolicy, PAGE_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an emulated victim system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Physical memory size in 4 KB pages (the paper's platform: 1 GB =
     /// 262,144 pages).
@@ -31,7 +30,7 @@ impl Default for SystemConfig {
 
 /// One published approximate output, carrying both the attacker's view and
 /// the evaluation-only ground truth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishedOutput {
     /// Attacker-visible: error bit positions per virtual page of the output
     /// (what error localization, §8.3, recovers from the published file).

@@ -9,11 +9,10 @@
 //! run. [`AllocationTrace`] records the same information from the simulated
 //! system and exposes those three observations as queries.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One traced output: which physical pages backed it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Sequence number of the output (the system's trial id).
     pub output_id: u64,
@@ -55,7 +54,7 @@ impl TraceRecord {
 /// assert_eq!(trace.len(), 2);
 /// assert!(trace.fraction_contiguous() == 1.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AllocationTrace {
     records: Vec<TraceRecord>,
 }

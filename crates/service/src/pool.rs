@@ -641,30 +641,28 @@ mod tests {
 
     #[test]
     fn store_errors_answer_error_frames() {
-        // An index naming an entry the database does not hold.
-        let db = store_with_chips(2).to_db();
-        let mut index = probable_cause::LshIndex::new(16, 4, 0x5eed);
-        index.insert(0, &es(&chip_bits(0)));
-        index.insert(7, &es(&chip_bits(1)));
-        let store = ShardedStore::open(StoreConfig::default(), db, Some(index));
+        // An observation whose size disagrees with the stored fingerprint.
         let queue = Arc::new(SubmissionQueue::new(4));
         let (tx, rx) = mpsc::channel::<Outbound>();
         queue
-            .try_submit(Job::Identify {
+            .try_submit(Job::Characterize {
                 seq: 1,
-                errors: Arc::new(es(&chip_bits(1))),
+                label: "chip-01".to_string(),
+                errors: ErrorString::from_sorted(vec![1, 2], 64).unwrap(),
                 reply: tx,
                 trace: None,
+                wseq: None,
             })
             .ok()
             .unwrap();
-        let pool = Pool::spawn(Arc::new(store), queue, 4, Arc::new(Tracer::disabled()));
+        let pool = Pool::spawn(store_with_chips(2), queue, 4, Arc::new(Tracer::disabled()));
         pool.drain_and_join();
         let out = rx.recv().unwrap();
         assert_eq!(
             out.response,
             Response::Error {
-                message: "store has no entry 7".to_string()
+                message: "cannot refine \"chip-01\": size mismatch: 4096 bits vs 64 bits"
+                    .to_string()
             }
         );
     }

@@ -205,9 +205,6 @@ pub struct StatsBody {
     pub distance_evals: u64,
     /// Request panics absorbed (injected or organic) since start.
     pub worker_panics: u64,
-    /// Whether the store is serving in degraded (linear-scan) mode while
-    /// its routing index rebuilds.
-    pub degraded: bool,
 }
 
 /// Latency quantiles for one request op, reported by [`Response::Metrics`].
@@ -238,8 +235,6 @@ pub struct MetricsBody {
     pub queue_depth: u64,
     /// Requests that breached the slow threshold since start.
     pub slow_requests: u64,
-    /// Whether the store is serving degraded (index rebuilding).
-    pub degraded: bool,
 }
 
 /// Per-stage latency breakdown attached to a [`Response::Traced`] wrapper.
@@ -711,7 +706,6 @@ pub fn encode_response(seq: u64, response: &Response) -> JsonObject {
             obj.set("kind", "metrics");
             obj.set("queue_depth", m.queue_depth);
             obj.set("slow_requests", m.slow_requests);
-            obj.set("degraded", m.degraded);
             let rows: Vec<JsonValue> = m
                 .ops
                 .iter()
@@ -781,7 +775,6 @@ pub fn encode_response(seq: u64, response: &Response) -> JsonObject {
             obj.set("rejected", s.rejected);
             obj.set("distance_evals", s.distance_evals);
             obj.set("worker_panics", s.worker_panics);
-            obj.set("degraded", s.degraded);
         }
         Response::Saved { fingerprints } => {
             obj.set("kind", "saved");
@@ -867,7 +860,6 @@ pub fn decode_response(frame: &JsonValue) -> Result<(u64, Response), ProtocolErr
                 .collect::<Result<_, ProtocolError>>()?,
             queue_depth: get_u64(obj, "queue_depth")?,
             slow_requests: get_u64(obj, "slow_requests")?,
-            degraded: get_bool(obj, "degraded")?,
         }),
         "trace-dump" => Response::TraceDump {
             traces: obj
@@ -923,13 +915,9 @@ pub fn decode_response(frame: &JsonValue) -> Result<(u64, Response), ProtocolErr
             admitted: get_u64(obj, "admitted")?,
             rejected: get_u64(obj, "rejected")?,
             distance_evals: get_u64(obj, "distance_evals")?,
-            // Resilience fields arrived with the fault-injection work; older
-            // servers simply do not report them.
+            // The panic count arrived with the fault-injection work; older
+            // servers simply do not report it.
             worker_panics: get_u64(obj, "worker_panics").unwrap_or(0),
-            degraded: obj
-                .get("degraded")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
         }),
         "saved" => Response::Saved {
             fingerprints: get_u64(obj, "fingerprints")?,
@@ -1068,7 +1056,6 @@ mod tests {
                 rejected: 5,
                 distance_evals: 6,
                 worker_panics: 7,
-                degraded: true,
             }),
             Response::Metrics(MetricsBody {
                 ops: vec![
@@ -1091,7 +1078,6 @@ mod tests {
                 ],
                 queue_depth: 2,
                 slow_requests: 1,
-                degraded: false,
             }),
             Response::Metrics(MetricsBody::default()),
             Response::TraceDump {

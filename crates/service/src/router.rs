@@ -474,7 +474,6 @@ impl RouterShared {
             ops,
             queue_depth: 0,
             slow_requests: self.tracer.slow_requests(),
-            degraded: false,
         }
     }
 

@@ -22,9 +22,10 @@
 //! [`probable_cause::persistence`]) if paths were configured.
 //!
 //! Resilience: connections carry idle and per-frame read deadlines (the
-//! slow-loris defense) plus a write timeout; startup recovers from torn or
-//! corrupt files via `.bak` fallback and degraded-mode index rebuilds; the
-//! `save` request checkpoints durably while the server runs.
+//! slow-loris defense) plus a write timeout; startup recovers a torn or
+//! corrupt database via its `.bak` fallback and rebuilds a missing, torn or
+//! stale index at open, before the listener binds; the `save` request
+//! checkpoints durably while the server runs.
 
 use crate::codec::{self, CodecError, ReadGuard};
 use crate::pool::{apply_trace, Job, Outbound, Pool, PoolMetrics, SubmissionQueue, SubmitError};
@@ -149,12 +150,11 @@ impl Shared {
             rejected: self.queue.rejected(),
             distance_evals: self.store.distance_evals(),
             worker_panics: self.pool_metrics.worker_panics(),
-            degraded: self.store.degraded(),
         }
     }
 
     /// Live serving metrics: per-op latency quantiles for every op that has
-    /// seen traffic, plus queue depth, slow-request count, and degraded flag.
+    /// seen traffic, plus queue depth and slow-request count.
     fn metrics(&self) -> MetricsBody {
         let ops = self
             .tracer
@@ -179,7 +179,6 @@ impl Shared {
             ops,
             queue_depth: self.queue.depth() as u64,
             slow_requests: self.tracer.slow_requests(),
-            degraded: self.store.degraded(),
         }
     }
 
@@ -315,10 +314,10 @@ impl ShutdownTrigger {
 /// Starts a server, loading any persisted state named by `config`.
 ///
 /// Recovery at startup is best-effort but never lossy: a damaged database
-/// file falls back to its `.bak` sibling; a damaged (or missing) index next
-/// to an intact database puts the store into degraded linear-scan mode and
-/// kicks off a background index rebuild, so the server answers correctly —
-/// just slower — while it heals.
+/// file falls back to its `.bak` sibling, and an index that is missing,
+/// torn, or stale next to an intact database is rebuilt at open (see
+/// [`ShardedStore::open`]) before the listener binds, so the first request
+/// is already routed exactly as a peer holding the same data routes it.
 ///
 /// # Errors
 ///
@@ -326,13 +325,6 @@ impl ShutdownTrigger {
 /// unreadable.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let store = Arc::new(load_store(&config)?);
-    if store.degraded() {
-        // Heal in the background; serving stays correct via linear scans.
-        let rebuild_store = Arc::clone(&store);
-        thread::Builder::new()
-            .name("pc-rebuild".to_string())
-            .spawn(move || rebuild_store.rebuild_index())?;
-    }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     let queue = Arc::new(SubmissionQueue::new(config.queue_capacity));
@@ -383,7 +375,7 @@ fn load_store(config: &ServerConfig) -> io::Result<ShardedStore> {
     }
     // The database is the source of truth; it must load (possibly from its
     // backup). The index is merely an accelerator: any damage there means
-    // degraded mode + rebuild, never a refused startup.
+    // it is rebuilt at open, never a refused startup.
     let db = persistence::load_db_from_path(db_path).map_err(to_io)?;
     if matches!(db.source, persistence::LoadSource::Backup) {
         counter!("service.recovery.db_from_backup").incr();
@@ -400,11 +392,12 @@ fn load_store(config: &ServerConfig) -> io::Result<ShardedStore> {
             }
         }
     });
-    let store = ShardedStore::open(config.store.clone(), db.value, index_recovered);
-    if store.degraded() {
-        counter!("service.recovery.degraded_start").incr();
-    }
-    Ok(store)
+    // A missing, torn or stale index is rebuilt here, at open.
+    Ok(ShardedStore::open(
+        config.store.clone(),
+        db.value,
+        index_recovered,
+    ))
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Pool) -> io::Result<()> {
@@ -442,12 +435,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Pool) -> io::Re
         let _ = t.join();
     }
     pool.drain_and_join();
-
-    // If a background rebuild never finished, finish it now: the index file
-    // written below must cover every entry.
-    if shared.store.degraded() && shared.config.index_path.is_some() {
-        shared.store.rebuild_index();
-    }
     shared.save()?;
     counter!("service.shutdown.drained").incr();
     Ok(())

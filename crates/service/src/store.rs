@@ -2,7 +2,10 @@
 //! that routes identifies, and the online cluster book.
 //!
 //! Entry ids are the database's insertion order, the coordinate system of
-//! the index and of [`probable_cause::persistence`]. An identify asks the
+//! the index and of [`probable_cause::persistence`]. The index always
+//! covers every entry: [`ShardedStore::open`] adopts a persisted index only
+//! when it holds exactly the database's ids and rebuilds it otherwise, and
+//! every `characterize` re-signs the entry it writes. An identify asks the
 //! index for the ids sharing a MinHash band with the query, so only those
 //! pay full modified-Jaccard distance, and scores them through
 //! [`FingerprintDb::closest_among`] under the database's read lock; the
@@ -24,7 +27,7 @@ use probable_cause::{
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Routing and matching parameters.
 #[derive(Debug, Clone)]
@@ -90,12 +93,6 @@ impl std::error::Error for StoreError {}
 /// closest candidate scored, if any).
 pub type Verdict = Result<(String, f64), Option<(String, f64)>>;
 
-/// Candidate-set size at which one identify's scoring borrows the kernel
-/// pool. LSH-routed identifies shortlist far fewer candidates than this;
-/// degraded full scans cross it. Inside a dispatcher run, where the pool
-/// already scores identifies side by side, the nested call runs inline.
-const PARALLEL_SCORE_MIN: usize = 4_096;
-
 /// Entries a checkpoint copies out per hold of the database read lock.
 /// Each hold lasts tens of microseconds; copying one entry per hold
 /// instead made the lock traffic itself visible, raising a concurrent
@@ -117,9 +114,6 @@ pub struct ShardedStore {
     /// Algorithm 4 state for `cluster-ingest`.
     clusters: Mutex<ClusterBook>,
     distance_evals: AtomicU64,
-    /// Degraded mode: the routing index is absent or rebuilding; identifies
-    /// fall back to a full linear scan and index writes are skipped.
-    degraded: AtomicBool,
     /// Highest router write sequence this store has processed, live or via
     /// replay. Deliberately in-memory only: after a restart it resets to 0,
     /// which is exactly "re-apply everything since my last checkpoint" —
@@ -140,13 +134,13 @@ impl ShardedStore {
         Self::open(config, db, Some(index))
     }
 
-    /// Builds a store that owns `db` and adopts `index` as its routing
-    /// index, taking the index's banding and the database's threshold;
-    /// neither is cloned, re-packed or re-signed. Without an index, or with
-    /// one that does not cover exactly the database's entries, the store
-    /// starts degraded: identifies answer by linear scan until
-    /// [`ShardedStore::rebuild_index`] (typically on a background thread)
-    /// restores routed serving.
+    /// Builds a store that owns `db` and routes identifies through `index`
+    /// when it covers exactly the database's ids `0..n` (see
+    /// [`LshIndex::covers`]), taking the index's banding and the database's
+    /// threshold; neither is cloned, re-packed or re-signed. Without an
+    /// index, or with a stale or mismatched one, the index is rebuilt from
+    /// the database with `config`'s banding before this returns, so a store
+    /// never serves without a complete index.
     pub fn open(
         config: StoreConfig,
         db: FingerprintDb<String, PcDistance>,
@@ -154,22 +148,20 @@ impl ShardedStore {
     ) -> Self {
         let mut config = config;
         config.threshold = db.threshold();
-        let index = index.filter(|index| {
-            let covers = index.len() == db.len();
-            if !covers {
-                counter!("service.recovery.index_mismatch").incr();
+        let index = match index {
+            Some(index) if index.covers(db.len()) => {
+                config.bands = index.bands();
+                config.rows_per_band = index.rows_per_band();
+                config.index_seed = index.seed();
+                index
             }
-            covers
-        });
-        if let Some(index) = &index {
-            config.bands = index.bands();
-            config.rows_per_band = index.rows_per_band();
-            config.index_seed = index.seed();
-        }
-        let degraded = index.is_none();
-        let index = index.unwrap_or_else(|| {
-            LshIndex::new(config.bands, config.rows_per_band, config.index_seed)
-        });
+            missing_or_stale => {
+                if missing_or_stale.is_some() {
+                    counter!("service.recovery.index_mismatch").incr();
+                }
+                build_index(&db, &config)
+            }
+        };
         let labels = db
             .iter()
             .enumerate()
@@ -186,28 +178,27 @@ impl ShardedStore {
             labels: Mutex::new(labels),
             clusters: Mutex::new(clusters),
             distance_evals: AtomicU64::new(0),
-            degraded: AtomicBool::new(degraded),
             applied_wseq: AtomicU64::new(0),
         }
     }
 
     /// Builds a store from a copy of `db` and the persisted `index`,
-    /// validating that they agree on the entry count.
+    /// validating that the index covers exactly the database's ids.
     ///
     /// # Errors
     ///
-    /// A mismatch error when the index does not cover exactly the database's
-    /// entries.
+    /// A mismatch error when the index does not cover exactly the ids
+    /// `0..db.len()`.
     pub fn from_db_with_index(
         config: StoreConfig,
         db: &FingerprintDb<String, PcDistance>,
         index: LshIndex,
     ) -> Result<Self, DbIoError> {
-        if index.len() != db.len() {
+        if !index.covers(db.len()) {
             return Err(DbIoError::BadFormat {
                 line: 0,
                 message: format!(
-                    "index covers {} entries but database has {}",
+                    "index holds {} entries, not exactly the database's ids 0..{}",
                     index.len(),
                     db.len()
                 ),
@@ -226,16 +217,10 @@ impl ShardedStore {
         self.config.threshold
     }
 
-    /// Fingerprints stored. Takes only the database read lock, so stats
-    /// stay responsive while an index rebuild holds the label book.
+    /// Fingerprints stored. Takes only the database read lock, never the
+    /// label book.
     pub fn len(&self) -> usize {
         self.db.read().len()
-    }
-
-    /// Whether identifies are serving by linear scan while the routing
-    /// index is absent or rebuilding.
-    pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
     }
 
     /// Whether no fingerprints are stored.
@@ -253,27 +238,11 @@ impl ShardedStore {
         self.distance_evals.load(Ordering::Relaxed)
     }
 
-    /// The ids `errors` must be scored against: the LSH candidates, or
-    /// every entry while degraded.
+    /// The ids `errors` must be scored against: its LSH candidates.
     fn candidates(&self, errors: &ErrorString) -> Vec<u32> {
-        let ids = if self.degraded() {
-            // Degraded mode: the index is absent or rebuilding, so score
-            // everything — slower, never wrong (LSH only ever prunes).
-            counter!("service.store.degraded_scans").incr();
-            (0..self.len() as u32).collect()
-        } else {
-            self.index.read().candidates(errors)
-        };
+        let ids = self.index.read().candidates(errors);
         counter!("service.store.candidates").add(ids.len() as u64);
         ids
-    }
-
-    /// Indexes entry `id` under `errors`, unless degraded (the rebuild
-    /// will sign it).
-    fn index_entry(&self, id: u32, errors: &ErrorString) {
-        if !self.degraded() {
-            self.index.write().insert(id, errors);
-        }
     }
 
     /// The LSH candidate ids for `errors` as plan groups for
@@ -309,13 +278,10 @@ impl ShardedStore {
         if let Some(&id) = ids.iter().find(|&&id| id >= db.len()) {
             return Err(StoreError::MissingEntry { id });
         }
-        let par = if ids.len() >= PARALLEL_SCORE_MIN {
-            Parallelism::auto()
-        } else {
-            Parallelism::single()
-        };
+        // LSH shortlists a handful of candidates, and the dispatcher already
+        // scores identifies side by side on the kernel pool.
         let best = db
-            .closest_among(&ids, errors, par)
+            .closest_among(&ids, errors, Parallelism::single())
             .map(|(label, d)| (label.clone(), d));
         self.distance_evals
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
@@ -370,7 +336,7 @@ impl ShardedStore {
             let fp = Fingerprint::from_observation(errors.clone());
             let (weight, observations) = (fp.weight(), fp.observations());
             let id = db.len() as u32;
-            self.index_entry(id, fp.errors());
+            self.index.write().insert(id, fp.errors());
             db.insert(label.to_string(), fp);
             labels.insert(label.to_string(), id);
             counter!("service.store.characterize.created").incr();
@@ -382,27 +348,20 @@ impl ShardedStore {
         let refined = fp
             .refine(errors)
             .map_err(|e| StoreError::Refine(format!("cannot refine {label:?}: {e}")))?;
-        self.index_entry(id, refined.errors());
+        self.index.write().insert(id, refined.errors());
         let (weight, observations) = (refined.weight(), refined.observations());
         db.replace(id as usize, refined);
         counter!("service.store.characterize.refined").incr();
         Ok((weight, observations, false))
     }
 
-    /// Rebuilds the routing index from the database, then leaves degraded
-    /// mode. Holds the label book for the duration, so mutations queue
-    /// behind the rebuild while identifies keep serving linear scans.
+    /// Rebuilds the routing index from the database. Holds the label book
+    /// for the duration, so mutations queue behind the rebuild while
+    /// identifies keep routing through the old index.
     pub fn rebuild_index(&self) {
-        let _span = pc_telemetry::time!("service.store.rebuild_index");
         let labels = self.labels.lock();
-        let index = self.db.read().build_index(
-            self.config.bands,
-            self.config.rows_per_band,
-            self.config.index_seed,
-        );
+        let index = build_index(&self.db.read(), &self.config);
         *self.index.write() = index;
-        self.degraded.store(false, Ordering::Release);
-        counter!("service.store.index_rebuilt").incr();
         drop(labels);
     }
 
@@ -533,13 +492,12 @@ impl ShardedStore {
         persistence::save_index(&self.index.read(), w)
     }
 
-    /// Persists the database (and, unless degraded, the index) crash-safely
-    /// via [`persistence::atomic_write`], streaming each image from the live
+    /// Persists the database and the index crash-safely via
+    /// [`persistence::atomic_write`], streaming each image from the live
     /// store into its tmp file: no flat copy of the database is built, the
     /// database image is written with no store lock held, and the index
     /// read lock is released before the fsync. Returns the number of
-    /// fingerprints written. While degraded the index file is skipped — it
-    /// would be incomplete; the next startup rebuilds it from the database.
+    /// fingerprints written.
     ///
     /// # Errors
     ///
@@ -554,12 +512,18 @@ impl ShardedStore {
             written = persistence::atomic_write(path, |w| self.stream_db(w))?;
         }
         if let Some(path) = index_path {
-            if !self.degraded() {
-                persistence::atomic_write(path, |w| self.save_index(w))?;
-            }
+            persistence::atomic_write(path, |w| self.save_index(w))?;
         }
         Ok(written)
     }
+}
+
+/// Signs every entry of `db` into a new index with `config`'s banding: the
+/// one build path, counted in `service.store.index_rebuilt`.
+fn build_index(db: &FingerprintDb<String, PcDistance>, config: &StoreConfig) -> LshIndex {
+    let _span = pc_telemetry::time!("service.store.rebuild_index");
+    counter!("service.store.index_rebuilt").incr();
+    db.build_index(config.bands, config.rows_per_band, config.index_seed)
 }
 
 #[cfg(test)]
@@ -707,7 +671,6 @@ mod tests {
             persistence::load_db(db1.as_slice()).unwrap(),
             Some(persistence::load_index(idx1.as_slice()).unwrap()),
         );
-        assert!(!restored.degraded(), "a matching index is adopted");
         assert_eq!(restored.len(), store.len());
 
         let (mut db2, mut idx2) = (Vec::new(), Vec::new());
@@ -778,56 +741,58 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_index_is_refused_or_degrades() {
-        let store = populated();
-        let mut idx = Vec::new();
-        store.save_index(&mut idx).unwrap();
-        let index = persistence::load_index(idx.as_slice()).unwrap();
-        // Drop the last fingerprint from the database.
-        let mut trimmed = FingerprintDb::new(PcDistance::new(), store.threshold());
-        let db = store.to_db();
-        for (label, fp) in db.iter().take(db.len() - 1) {
-            trimmed.insert(label.clone(), fp.clone());
-        }
-        assert!(
-            ShardedStore::from_db_with_index(StoreConfig::default(), &trimmed, index.clone())
-                .is_err()
-        );
-        let opened = ShardedStore::open(StoreConfig::default(), trimmed, Some(index));
-        assert!(opened.degraded(), "an index that disagrees is not adopted");
-        assert_eq!(opened.len(), 9);
-    }
-
-    #[test]
-    fn degraded_store_scans_linearly_and_rebuild_restores_routing() {
+    fn open_adopts_only_an_index_covering_exactly_its_ids() {
         let db = populated().to_db();
-        let store = ShardedStore::open(StoreConfig::default(), db, None);
-        assert!(store.degraded());
-        assert_eq!(store.len(), 10);
+        let config = StoreConfig::default();
+        let image = |index: &LshIndex| {
+            let mut out = Vec::new();
+            persistence::save_index(index, &mut out).unwrap();
+            out
+        };
+        let saved = |store: &ShardedStore| {
+            let mut out = Vec::new();
+            store.save_index(&mut out).unwrap();
+            out
+        };
+        let rebuilt = image(&db.build_index(config.bands, config.rows_per_band, config.index_seed));
 
-        // Degraded identifies scan every entry and still answer correctly.
-        let before = store.distance_evals();
-        let (label, _) = store.identify(&es(&chip_bits(4))).unwrap().unwrap();
-        assert_eq!(label, "chip-04");
-        assert_eq!(
-            store.distance_evals() - before,
-            10,
-            "degraded identify must score the whole store"
-        );
+        // A covering index is adopted as it stands, banding included.
+        let covering = db.build_index(8, 2, 7);
+        let adopted =
+            ShardedStore::from_db_with_index(config.clone(), &db, covering.clone()).unwrap();
+        let opened = ShardedStore::open(config.clone(), db.clone(), Some(covering.clone()));
+        for store in [&adopted, &opened] {
+            assert_eq!(store.config().index_seed, 7);
+            assert_eq!(saved(store), image(&covering));
+        }
 
-        // Mutations while degraded land in the database (index writes skipped).
-        store.characterize("chip-10", &es(&chip_bits(10))).unwrap();
-
-        // The rebuild restores routed serving, covering the new entry too.
-        store.rebuild_index();
-        assert!(!store.degraded());
-        for chip in [4u64, 10] {
+        // Missing, short by one entry, or naming an id the database lacks:
+        // refused by `from_db_with_index`, rebuilt by `open`.
+        let mut short = covering.clone();
+        short.remove(9);
+        let mut out_of_range = short.clone();
+        out_of_range.insert(10, db.entry(9).unwrap().1.errors());
+        assert_eq!(out_of_range.len(), db.len());
+        for (case, index) in [
+            ("missing", None),
+            ("short", Some(short)),
+            ("out of range", Some(out_of_range)),
+        ] {
+            if let Some(index) = &index {
+                assert!(
+                    ShardedStore::from_db_with_index(config.clone(), &db, index.clone()).is_err(),
+                    "{case} index adopted"
+                );
+            }
+            let store = ShardedStore::open(config.clone(), db.clone(), index);
+            assert_eq!(saved(&store), rebuilt, "{case} index not rebuilt");
+            // The rebuilt index routes the first identify.
             let before = store.distance_evals();
-            let (label, _) = store.identify(&es(&chip_bits(chip))).unwrap().unwrap();
-            assert_eq!(label, format!("chip-{chip:02}"));
+            let (label, _) = store.identify(&es(&chip_bits(9))).unwrap().unwrap();
+            assert_eq!(label, "chip-09", "{case}");
             assert!(
-                store.distance_evals() - before < 11,
-                "rebuilt index should prune"
+                store.distance_evals() - before < db.len() as u64,
+                "{case}: identify scanned the store"
             );
         }
     }

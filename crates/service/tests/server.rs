@@ -312,7 +312,6 @@ fn traced_requests_report_consistent_stage_breakdowns() {
                 .find(|o| o.op == "characterize")
                 .expect("characterize row after populate");
             assert_eq!(characterize.count, 8);
-            assert!(!m.degraded);
         }
         other => panic!("expected metrics, got {other:?}"),
     }

@@ -76,7 +76,6 @@ fn response_from(which: u64, label: Vec<char>, x: f64, n: u64, flag: bool) -> Re
             rejected: n / 3,
             distance_evals: n * 2,
             worker_panics: n % 5,
-            degraded: flag,
         }),
         7 => Response::ShuttingDown,
         8 => {
@@ -107,7 +106,6 @@ fn response_from(which: u64, label: Vec<char>, x: f64, n: u64, flag: bool) -> Re
             ],
             queue_depth: n % 7,
             slow_requests: n % 11,
-            degraded: flag,
         }),
         10 => Response::TraceDump {
             traces: vec![TraceRecord {

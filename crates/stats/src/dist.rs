@@ -10,7 +10,6 @@
 
 use crate::special::{normal_cdf, probit};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Normal distribution `N(mean, sd²)`.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((n.quantile(0.5) - 10.0).abs() < 1e-6);
 /// assert!((n.cdf(10.0) - 0.5).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     sd: f64,
@@ -79,7 +78,7 @@ impl Normal {
 /// DRAM retention-time measurements (Hamamoto et al., cited as \[10\]/\[27\]) are
 /// better described as log-normal; the simulator offers this shape alongside
 /// the paper's Gaussian idealization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     log: Normal,
 }
@@ -122,7 +121,7 @@ impl LogNormal {
 /// Skew-normal distribution (Azzalini) with location `xi`, scale `omega`, and
 /// shape `alpha`. Negative `alpha` skews mass toward lower values — the DDR2
 /// "skewed toward higher volatility" case maps to retention skewed low.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewNormal {
     xi: f64,
     omega: f64,
@@ -173,7 +172,7 @@ impl SkewNormal {
 ///
 /// All variants are evaluated *deterministically per cell* from one or two
 /// uniform hashes, so the full retention map of a chip never has to be stored.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VolatilityDistribution {
     /// Gaussian retention time (paper's model for the KM41464A): seconds at
     /// the reference temperature, truncated below at `floor` seconds.

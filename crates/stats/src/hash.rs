@@ -9,7 +9,6 @@
 use std::convert::Infallible;
 
 use rand::TryRng;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer, defined once in `pc_kernels` (whose MinHash
 /// kernels vectorize it) and re-exported here.
@@ -39,7 +38,7 @@ pub use pc_kernels::mix64;
 /// assert_eq!(chip_a.word(9), chip_a.word(9));
 /// assert_ne!(chip_a.word(9), chip_b.word(9));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellHasher {
     seed: u64,
 }

@@ -1,8 +1,6 @@
 //! Fixed-bin histogram used to regenerate the paper's histogram figures
 //! (Figs. 7, 9, 11).
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with equally sized bins.
 ///
 /// Out-of-range samples are clamped into the first/last bin and separately
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.counts(), &[1, 0, 0, 2]);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

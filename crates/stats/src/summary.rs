@@ -1,8 +1,6 @@
 //! Streaming summary statistics (Welford), compensated summation, and the
 //! Wilson score interval for reported success rates.
 
-use serde::{Deserialize, Serialize};
-
 /// Wilson score interval for a binomial proportion: the 95% confidence range
 /// for a true success rate given `successes` out of `trials`.
 ///
@@ -45,7 +43,7 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
 /// for _ in 0..1_000_000 { s.add(0.1); }
 /// assert!((s.value() - 100_000.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KahanSum {
     sum: f64,
     c: f64,
@@ -96,7 +94,7 @@ impl FromIterator<f64> for KahanSum {
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// assert!((s.sample_variance() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -61,7 +61,6 @@ pub const COUNTERS: &[&str] = &[
     "service.queue.admitted",
     "service.queue.rejected",
     "service.recovery.db_from_backup",
-    "service.recovery.degraded_start",
     "service.recovery.index_mismatch",
     "service.recovery.index_unreadable",
     "service.requests.characterize",
@@ -95,7 +94,6 @@ pub const COUNTERS: &[&str] = &[
     "service.store.characterize.refined",
     "service.store.cluster.refined",
     "service.store.cluster.seeded",
-    "service.store.degraded_scans",
     "service.store.distance_evals",
     "service.store.index_rebuilt",
     "service.store.replay_skipped",

@@ -1,9 +1,9 @@
 //! A small, dependency-free JSON reader and writer.
 //!
-//! The workspace's serde dependency is a derive-only marker (see
-//! `crates/compat/serde`), so telemetry writes its own JSON. Objects keep
-//! insertion order, making output byte-stable for a fixed sequence of
-//! `set` calls — the property run manifests rely on for reproducibility.
+//! The workspace builds offline without serde, so telemetry writes its own
+//! JSON. Objects keep insertion order, making output byte-stable for a
+//! fixed sequence of `set` calls — the property run manifests rely on for
+//! reproducibility.
 //!
 //! [`parse`] is the reading half, added for the `pc-service` wire protocol:
 //! it accepts exactly the subset this writer emits (RFC 8259 minus exponent

@@ -39,7 +39,7 @@ pub enum Stage {
     Decode,
     /// Admission to the submission queue → dispatcher pickup.
     QueueWait,
-    /// Scoring / mutation work (dispatcher + shard workers).
+    /// Scoring / mutation work (the dispatcher and its kernel-pool tasks).
     Score,
     /// Typed response → wire frame (includes writer-queue wait).
     Encode,

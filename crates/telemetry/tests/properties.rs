@@ -3,7 +3,7 @@
 //! The histogram's merge algebra (associative, commutative, empty identity)
 //! and its quantile error bound (the true quantile lies inside the estimate's
 //! bucket) are what make per-thread snapshots safe to combine in any order;
-//! the crossbeam hammer tests pin down that the lock-free counters and
+//! the scoped-thread hammer tests pin down that the lock-free counters and
 //! histograms lose nothing under contention.
 
 use pc_telemetry::histogram::{bucket_index, bucket_upper, Histogram, HistogramSnapshot};
@@ -130,9 +130,9 @@ fn counters_survive_a_concurrent_hammer() {
     let collector = pc_telemetry::install();
     let counter = collector.counter("test.hammer.counter");
     let before = counter.get();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..OPS_PER_THREAD {
                     if (t + i) % 2 == 0 {
                         counter.incr();
@@ -142,8 +142,7 @@ fn counters_survive_a_concurrent_hammer() {
                 }
             });
         }
-    })
-    .expect("workers do not panic");
+    });
     assert_eq!(counter.get() - before, THREADS * OPS_PER_THREAD);
 }
 
@@ -152,16 +151,15 @@ fn histogram_loses_nothing_under_contention() {
     let collector = pc_telemetry::install();
     let hist = collector.histogram("test.hammer.hist");
     let before = hist.count();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..OPS_PER_THREAD {
                     hist.record(t * OPS_PER_THREAD + i);
                 }
             });
         }
-    })
-    .expect("workers do not panic");
+    });
     let s = hist.snapshot();
     assert_eq!(s.count() - before, THREADS * OPS_PER_THREAD);
     assert_eq!(s.max(), Some(THREADS * OPS_PER_THREAD - 1));
@@ -171,10 +169,10 @@ fn histogram_loses_nothing_under_contention() {
 fn concurrent_per_thread_snapshots_merge_to_the_global_total() {
     // Each worker keeps a private histogram; merging the per-thread
     // snapshots in arbitrary order must equal one histogram fed everything.
-    let combined = crossbeam::thread::scope(|s| {
+    let combined = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let h = Histogram::new();
                     for i in 0..OPS_PER_THREAD {
                         h.record(t ^ i);
@@ -188,8 +186,7 @@ fn concurrent_per_thread_snapshots_merge_to_the_global_total() {
             acc.merge(&h.join().expect("worker does not panic"));
         }
         acc
-    })
-    .expect("workers do not panic");
+    });
     let reference = Histogram::new();
     for t in 0..THREADS {
         for i in 0..OPS_PER_THREAD {

@@ -75,8 +75,8 @@
 //!
 //! pc top --addr HOST:PORT [--interval-ms MS] [--iterations N]
 //!     Live serving dashboard: polls `metrics` and renders per-op
-//!     qps/p50/p99/max plus queue depth, slow-request count, and the
-//!     degraded flag. --iterations bounds the refresh count (0 = forever).
+//!     qps/p50/p99/max plus queue depth and slow-request count.
+//!     --iterations bounds the refresh count (0 = forever).
 //!     The qps column shows `--` until a second sample establishes a
 //!     delta, and again whenever a counter runs backwards (server
 //!     restart) rather than inventing a rate.
@@ -725,14 +725,6 @@ fn print_response(response: Response) -> Result<(), String> {
                     )
                 }
             );
-            println!(
-                "degraded:        {}",
-                if s.degraded {
-                    "yes (index rebuilding; queries fall back to linear scans)"
-                } else {
-                    "no"
-                }
-            );
         }
         Response::Metrics(m) => {
             println!(
@@ -756,7 +748,6 @@ fn print_response(response: Response) -> Result<(), String> {
             println!();
             println!("queue depth:   {}", m.queue_depth);
             println!("slow requests: {}", m.slow_requests);
-            println!("degraded:      {}", if m.degraded { "yes" } else { "no" });
         }
         Response::TraceDump { traces } => {
             println!(
@@ -885,12 +876,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         // Clear + home, then redraw the whole dashboard.
         print!("\x1b[2J\x1b[H");
         println!("pc top — {addr} (refresh {interval_ms}ms)");
-        println!(
-            "queue {:>4}   slow {:>6}   degraded {}",
-            m.queue_depth,
-            m.slow_requests,
-            if m.degraded { "YES" } else { "no" }
-        );
+        println!("queue {:>4}   slow {:>6}", m.queue_depth, m.slow_requests);
         println!();
         println!(
             "{:<16} {:>10} {:>8} {:>12} {:>12} {:>12}",

@@ -24,9 +24,13 @@
 //!   (`first_within`) finds the same cluster after the same number of
 //!   comparisons as a `distance_packed` loop, for every built-in metric.
 //!
-//! It also times signing one 328-bit probe at 16 bands × 4 rows, the LSH
-//! plan stage of every identify: `minhash_scalar_ns` on the scalar tier and
-//! `minhash_ns` on the tier `simd_backend` names. And it times the
+//! It also times the identify plan stage against a 10k-chip
+//! `build_index(16, 4, 0x5eed)`: `index_candidates_ns` is the median
+//! `LshIndex::candidates` call for noisy 328-bit outputs of stored chips,
+//! and `index_build_ns` the index build per entry. It times the stitcher's
+//! MinHash signing of one 328-bit probe at 16 bands × 4 rows:
+//! `minhash_scalar_ns` on the scalar tier and `minhash_ns` on the tier
+//! `simd_backend` names. And it times the
 //! cluster-ingest scan per cluster compared, on a 1 024-cluster book of
 //! 312-bit fingerprints probed with 328-bit outputs (the `ingest-10k`
 //! shape): `cluster_scan_pairwise_ns` for the `distance_packed` loop,
@@ -479,10 +483,26 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let tracing_overhead_pct = ((traced_ns - raw_ns) / raw_ns * 100.0).max(0.0);
     let tracing_overhead_ok = tracing_overhead_pct <= 1.0;
 
-    // MinHash signing of one identify probe: 328 pre-hashed positions into
-    // 16 × 4 lanes, the `store.plan` work of every LSH-routed identify.
-    // Timed in batches of 100 calls so one sample is well above the clock's
-    // resolution.
+    // The identify plan stage: one `candidates` call per noisy output of a
+    // stored chip against the 10k-chip index `pc-service` would build, and
+    // the build itself per entry.
+    let db = populated_db(10_000);
+    let index_build_ns = median_ns(reps, || {
+        black_box(db.build_index(16, 4, 0x5eed));
+    }) / db.len() as f64;
+    let index = db.build_index(16, 4, 0x5eed);
+    let plan_probes: Vec<ErrorString> = (0..32u64)
+        .map(|i| perturbed(&synthetic_errors(i * 311 + 1, WEIGHT, SIZE), 6, 6, 7))
+        .collect();
+    let index_candidates_ns = median_ns(reps, || {
+        for probe in &plan_probes {
+            black_box(index.candidates(black_box(probe)));
+        }
+    }) / plan_probes.len() as f64;
+
+    // The stitcher's MinHash signing of one probe: 328 pre-hashed positions
+    // into 16 × 4 lanes. Timed in batches of 100 calls so one sample is well
+    // above the clock's resolution.
     let seeds: Vec<u64> = (0..64u64).map(|l| mix64(l ^ 0x5eed)).collect();
     let hashes: Vec<u64> = w.probe.positions().iter().map(|&b| mix64(b)).collect();
     let signing_ns = |tier: MinHashTier| {
@@ -535,6 +555,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
          \"simd_matches_scalar\": {simd_ok},\n  \
          \"tracing_overhead_pct_10k\": {tracing_overhead_pct:.2},\n  \
          \"tracing_overhead_ok\": {tracing_overhead_ok},\n  \
+         \"index_candidates_ns\": {index_candidates_ns:.0},\n  \
+         \"index_build_ns\": {index_build_ns:.0},\n  \
          \"minhash_scalar_ns\": {minhash_scalar_ns:.0},\n  \
          \"minhash_ns\": {minhash_ns:.0},\n  \
          \"minhash_matches_scalar\": {minhash_ok},\n  \

@@ -102,13 +102,20 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
     }
 
     /// Builds an [`LshIndex`] over every stored fingerprint (entry id =
-    /// insertion order), for [`FingerprintDb::identify_indexed`].
+    /// insertion order), for [`FingerprintDb::identify_indexed`]. Entries
+    /// are signed on the kernel pool; the index does not depend on the
+    /// thread count.
     pub fn build_index(&self, bands: usize, rows_per_band: usize, seed: u64) -> LshIndex {
-        let mut index = LshIndex::new(bands, rows_per_band, seed);
-        for (id, (_, fp)) in self.entries.iter().enumerate() {
-            index.insert(id as u32, fp.errors());
-        }
-        index
+        // The signing tasks borrow only the sets, so labels need not be `Sync`.
+        let sets: Vec<&ErrorString> = self.entries.iter().map(|(_, fp)| fp.errors()).collect();
+        LshIndex::build(
+            bands,
+            rows_per_band,
+            seed,
+            sets.len(),
+            |id| sets[id],
+            Parallelism::auto(),
+        )
     }
 
     /// Distances from `error_string` to every stored fingerprint, in

@@ -3,30 +3,62 @@
 //!
 //! [`crate::FingerprintDb::identify`] compares a query against every stored
 //! fingerprint; at database sizes the ROADMAP targets (10k+ chips) that
-//! linear scan is the serving bottleneck. This index reuses the stitching
-//! layer's [`MinHasher`]: each fingerprint is signed once at insertion and
-//! its band keys are bucketed, so a query pays `weight × bands × rows`
-//! hashes (≈21k SplitMix64 rounds for a 328-bit page at 16 × 4, run by the
-//! SIMD MinHash kernel in `pc_kernels::simd`) and then full modified-Jaccard
-//! distance only against the candidate set that collides with it in at
-//! least one band.
+//! linear scan is the serving bottleneck. This index signs each fingerprint
+//! once at insertion and files its band keys, so a query pays one hash per
+//! error bit plus `bands` table lookups, and then full modified-Jaccard
+//! distance only against the candidates that share at least one band key
+//! with it.
 //!
-//! Recall is probabilistic: a pair with Jaccard similarity `s` collides in
-//! at least one band with probability `1 − (1 − s^rows)^bands`. At the
-//! defaults used by `pc-service` (16 bands × 4 rows), a same-chip pair at
-//! `s ≈ 0.9` is missed with probability ≈ 5×10⁻⁸, while unrelated chips
-//! (`s` under 0.01) essentially never collide — that asymmetry is the whole
-//! pruning win.
+//! The signature is one-permutation hashing (OPH) with rotation
+//! densification (Shrivastava and Li, "Densifying One Permutation Hashing
+//! via Rotation for Fast Near Neighbor Search", ICML 2014). One SplitMix64
+//! round per error bit both picks one of `bands × rows` bins
+//! (multiply-shift on the hash) and is the value the bin keeps if it is
+//! the smallest there. A bin no bit reached takes the nearest filled bin to
+//! its right, mixed with the distance, so two sets agree in a bin with
+//! probability close to their Jaccard similarity `s`, as with
+//! `bands × rows` independent MinHashes at `bands × rows` times the cost.
+//! A pair then collides in at least one band
+//! with probability close to `1 − (1 − s^rows)^bands`: at the 16 × 4
+//! `pc-service` uses, a same-chip pair at `s ≈ 0.9` is almost never missed,
+//! while unrelated chips (`s` under 0.01) essentially never collide.
+//! `crates/core/tests/index_recall.rs` holds its recall to that of 16 × 4
+//! [`crate::MinHasher`] banding at each distance below the service
+//! threshold.
 //!
-//! The index is deterministic for a given `(bands, rows, seed)` and
-//! insertion sequence, and persists via
-//! [`crate::persistence::save_index`] / [`crate::persistence::load_index`]
-//! so a restarted server recovers its exact bucket layout.
+//! Storage is flat: an array of each id's band keys, ids ascending, beside
+//! one open-addressed table of `(band key, id)` pairs. The index is
+//! deterministic for a given `(bands, rows, seed)` and set of entries, and
+//! persists as its key array via [`crate::persistence::save_index`] /
+//! [`crate::persistence::load_index`], so a restarted server recovers it
+//! without re-signing.
 
-use crate::{ErrorString, MinHasher};
-use std::collections::BTreeMap;
+use crate::stitch::fold_band_keys;
+use crate::ErrorString;
+use pc_kernels::{map_chunked, Parallelism};
+use pc_stats::mix64;
 
-/// An LSH bucket index mapping band keys to fingerprint entry ids.
+/// Salt of the per-bit hash, so this family's bins are independent of
+/// [`crate::MinHasher`]'s lanes under the same seed.
+const BIT_SALT: u64 = 0x4F50_4842_6974_7321;
+
+/// The id that marks an empty table slot; no entry may use it.
+const EMPTY: u32 = u32::MAX;
+
+/// Entries one build task signs: large enough that claiming a chunk costs
+/// nothing next to signing it, small enough to balance a 10k-entry build.
+const BUILD_CHUNK: usize = 256;
+
+/// One `(band key, id)` pair of the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    key: u64,
+    id: u32,
+}
+
+const VACANT: Slot = Slot { key: 0, id: EMPTY };
+
+/// An LSH index mapping band keys to fingerprint entry ids.
 ///
 /// Entry ids are the caller's (for [`crate::FingerprintDb`] they are
 /// insertion-order indices). The index does not own fingerprints; it only
@@ -46,12 +78,19 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LshIndex {
-    hasher: MinHasher,
+    bands: usize,
+    rows: usize,
     seed: u64,
-    /// Band key → entry ids, canonically ordered for byte-stable persistence.
-    buckets: BTreeMap<u64, Vec<u32>>,
-    /// Entry id → its band keys, kept for O(bands) removal and re-indexing.
-    keys: BTreeMap<u32, Vec<u64>>,
+    /// The per-bit hash salt derived from `seed`.
+    salt: u64,
+    /// Indexed ids, strictly ascending; `ids[i] == i` for a database.
+    ids: Vec<u32>,
+    /// `keys[i * bands..(i + 1) * bands]` are the band keys of `ids[i]`.
+    keys: Vec<u64>,
+    /// `(band key, id)` pairs under linear probing from the key's
+    /// multiply-shift home slot, deleted by backward shift. Each pair is
+    /// present once, and at least half the slots are always vacant.
+    table: Vec<Slot>,
 }
 
 impl LshIndex {
@@ -60,24 +99,31 @@ impl LshIndex {
     ///
     /// # Panics
     ///
-    /// Panics if either count is zero (see [`MinHasher::new`]).
+    /// Panics if either count is zero.
     pub fn new(bands: usize, rows_per_band: usize, seed: u64) -> Self {
+        assert!(
+            bands > 0 && rows_per_band > 0,
+            "bands and rows must be positive"
+        );
         Self {
-            hasher: MinHasher::new(bands, rows_per_band, seed),
+            bands,
+            rows: rows_per_band,
             seed,
-            buckets: BTreeMap::new(),
-            keys: BTreeMap::new(),
+            salt: mix64(seed ^ BIT_SALT),
+            ids: Vec::new(),
+            keys: Vec::new(),
+            table: vec![VACANT; slots_for(0, bands)],
         }
     }
 
     /// Number of bands.
     pub fn bands(&self) -> usize {
-        self.hasher.bands()
+        self.bands
     }
 
     /// Rows per band.
     pub fn rows_per_band(&self) -> usize {
-        self.hasher.rows_per_band()
+        self.rows
     }
 
     /// The seed the hash family was derived from.
@@ -87,104 +133,293 @@ impl LshIndex {
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.ids.len()
     }
 
     /// Whether no entries are indexed.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.ids.is_empty()
     }
 
     /// Whether the indexed ids are exactly `0..n`, as for a
     /// [`crate::FingerprintDb`] of `n` entries: `n` distinct ids whose
     /// largest is `n - 1`.
     pub fn covers(&self, n: usize) -> bool {
-        let last = self.keys.last_key_value().map(|(&id, _)| id as usize);
-        self.keys.len() == n && last.is_none_or(|last| last + 1 == n)
+        let last = self.ids.last().map(|&id| id as usize);
+        self.ids.len() == n && last.is_none_or(|last| last + 1 == n)
     }
 
     /// Indexes `errors` under `id`, replacing any previous entry for `id`
-    /// (re-indexing after a fingerprint was refined).
+    /// (re-indexing after a fingerprint was refined). A refine that leaves
+    /// the band keys unchanged changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is `u32::MAX`, which marks empty table slots.
     pub fn insert(&mut self, id: u32, errors: &ErrorString) {
         let _span = pc_telemetry::time!("core.index.insert");
         pc_telemetry::counter!("core.index.inserts").incr();
-        self.remove(id);
-        let keys = self.hasher.band_keys(&self.hasher.signature(errors));
-        for &k in &keys {
-            let bucket = self.buckets.entry(k).or_default();
-            // A signature can repeat a band key; ids stay unique per bucket.
-            if !bucket.contains(&id) {
-                bucket.push(id);
+        assert_ne!(id, EMPTY, "id u32::MAX is reserved");
+        let fresh = self.band_keys(errors);
+        let b = self.bands;
+        match self.position(id) {
+            Ok(at) => {
+                let keys = &mut self.keys[at * b..(at + 1) * b];
+                if *keys == *fresh {
+                    return;
+                }
+                let stale = keys.to_vec();
+                keys.copy_from_slice(&fresh);
+                for key in stale {
+                    self.remove_pair(key, id);
+                }
+                for &key in &fresh {
+                    self.insert_pair(key, id);
+                }
+            }
+            Err(at) => {
+                let need = slots_for(self.ids.len() + 1, b);
+                if self.table.len() < need {
+                    self.rehash(slots_for(2 * (self.ids.len() + 1), b));
+                }
+                self.ids.insert(at, id);
+                self.keys.splice(at * b..at * b, fresh.iter().copied());
+                for &key in &fresh {
+                    self.insert_pair(key, id);
+                }
             }
         }
-        self.keys.insert(id, keys);
     }
 
     /// Removes `id` from the index. Returns whether it was present.
     pub fn remove(&mut self, id: u32) -> bool {
-        let Some(keys) = self.keys.remove(&id) else {
+        let Ok(at) = self.position(id) else {
             return false;
         };
-        for k in keys {
-            if let Some(bucket) = self.buckets.get_mut(&k) {
-                bucket.retain(|&e| e != id);
-                if bucket.is_empty() {
-                    self.buckets.remove(&k);
-                }
-            }
+        let b = self.bands;
+        let keys: Vec<u64> = self.keys.drain(at * b..(at + 1) * b).collect();
+        self.ids.remove(at);
+        for key in keys {
+            self.remove_pair(key, id);
         }
         true
     }
 
     /// The candidate entry ids for a query: every id sharing at least one
-    /// band bucket with it, ascending and deduplicated.
+    /// band key with it, ascending and deduplicated.
     pub fn candidates(&self, errors: &ErrorString) -> Vec<u32> {
         let _span = pc_telemetry::time!("core.index.candidates");
         pc_telemetry::counter!("core.index.probes").incr();
-        let keys = self.hasher.band_keys(&self.hasher.signature(errors));
-        let mut out: Vec<u32> = keys
-            .iter()
-            .filter_map(|k| self.buckets.get(k))
-            .flatten()
-            .copied()
-            .collect();
+        let mut out = Vec::new();
+        for key in self.band_keys(errors) {
+            let mut i = self.home(key);
+            loop {
+                let slot = self.table[i];
+                if slot.id == EMPTY {
+                    break;
+                }
+                if slot.key == key {
+                    out.push(slot.id);
+                }
+                i = self.next(i);
+            }
+        }
         out.sort_unstable();
         out.dedup();
         pc_telemetry::counter!("core.index.candidates_returned").add(out.len() as u64);
         out
     }
 
-    /// Iterates over `(band_key, ids)` buckets in canonical (ascending key)
-    /// order — the persistence layer's view.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, &[u32])> {
-        self.buckets.iter().map(|(&k, v)| (k, v.as_slice()))
+    /// Each indexed id with its `bands` band keys, ids ascending — the
+    /// persistence layer's view.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, &[u64])> {
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.keys.chunks_exact(self.bands))
     }
 
-    /// Rebuilds an index from persisted parts.
-    ///
-    /// Used by [`crate::persistence::load_index`]; bucket vectors keep their
-    /// stored order so a save → load → save cycle is byte-identical.
+    /// An index over `ids` from their band keys, `bands` per id in the same
+    /// order: what [`crate::persistence::load_index`] reads back. Nothing is
+    /// signed, and both arrays are adopted as they are.
     ///
     /// # Panics
     ///
-    /// Panics if `bands` or `rows_per_band` is zero.
-    pub fn from_parts(
+    /// Panics if either count is zero, if `ids` is not strictly ascending
+    /// or holds `u32::MAX`, or if `keys` does not hold `bands` keys per id.
+    pub(crate) fn from_entries(
         bands: usize,
         rows_per_band: usize,
         seed: u64,
-        buckets: BTreeMap<u64, Vec<u32>>,
+        ids: Vec<u32>,
+        keys: Vec<u64>,
     ) -> Self {
-        let mut keys: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for (&k, ids) in &buckets {
-            for &id in ids {
-                keys.entry(id).or_default().push(k);
+        let mut index = Self::new(bands, rows_per_band, seed);
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]) && ids.last() != Some(&EMPTY),
+            "ids must ascend strictly, below u32::MAX"
+        );
+        assert_eq!(keys.len(), ids.len() * bands, "bands keys per id");
+        let slots = slots_for(ids.len(), bands);
+        index.ids = ids;
+        index.keys = keys;
+        index.rehash(slots);
+        index
+    }
+
+    /// Signs `n` sets, where `set(i)` is the one for id `i`, on the kernel
+    /// pool into a new index over ids `0..n`. The result does not depend on
+    /// the thread count.
+    pub(crate) fn build<'a>(
+        bands: usize,
+        rows_per_band: usize,
+        seed: u64,
+        n: usize,
+        set: impl Fn(usize) -> &'a ErrorString + Sync,
+        par: Parallelism,
+    ) -> Self {
+        let signer = Self::new(bands, rows_per_band, seed);
+        let chunks = map_chunked(n.div_ceil(BUILD_CHUNK), 1, par, |c| {
+            let ids = c * BUILD_CHUNK..n.min((c + 1) * BUILD_CHUNK);
+            let mut keys = Vec::with_capacity(ids.len() * bands);
+            for id in ids {
+                keys.extend(signer.band_keys(set(id)));
+            }
+            keys
+        });
+        let n = u32::try_from(n).expect("ids are u32");
+        Self::from_entries(
+            bands,
+            rows_per_band,
+            seed,
+            (0..n).collect(),
+            chunks.concat(),
+        )
+    }
+
+    /// The band keys of `errors`: its one-permutation signature over
+    /// `bands × rows` bins, densified, folded band by band as
+    /// [`crate::MinHasher::band_keys`] folds. The empty set signs as all
+    /// `u64::MAX`, like [`crate::MinHasher::signature`].
+    fn band_keys(&self, errors: &ErrorString) -> Vec<u64> {
+        let bins = self.bands * self.rows;
+        let mut sig = vec![u64::MAX; bins];
+        for &bit in errors.positions() {
+            let h = mix64(bit ^ self.salt);
+            let bin = ((u128::from(h) * bins as u128) >> 64) as usize;
+            sig[bin] = sig[bin].min(h);
+        }
+        densify(&mut sig);
+        fold_band_keys(&sig, self.bands, self.rows)
+    }
+
+    /// Where `id` sits in `ids`: `Ok(position)`, or `Err(insertion point)`.
+    fn position(&self, id: u32) -> Result<usize, usize> {
+        match self.ids.get(id as usize) {
+            Some(&at) if at == id => Ok(id as usize),
+            _ => self.ids.binary_search(&id),
+        }
+    }
+
+    /// The slot a key's probe starts from.
+    fn home(&self, key: u64) -> usize {
+        ((u128::from(key) * self.table.len() as u128) >> 64) as usize
+    }
+
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.table.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// Files `(key, id)` unless it is already present (an id whose
+    /// signature repeats a band key is listed once).
+    fn insert_pair(&mut self, key: u64, id: u32) {
+        let mut i = self.home(key);
+        loop {
+            let slot = self.table[i];
+            if slot.id == EMPTY {
+                self.table[i] = Slot { key, id };
+                return;
+            }
+            if slot == (Slot { key, id }) {
+                return;
+            }
+            i = self.next(i);
+        }
+    }
+
+    /// Deletes `(key, id)` if present, shifting the rest of its probe run
+    /// back so every remaining pair stays reachable from its home slot.
+    fn remove_pair(&mut self, key: u64, id: u32) {
+        let cap = self.table.len();
+        let mut hole = self.home(key);
+        loop {
+            let slot = self.table[hole];
+            if slot.id == EMPTY {
+                return;
+            }
+            if slot == (Slot { key, id }) {
+                break;
+            }
+            hole = self.next(hole);
+        }
+        let mut j = hole;
+        loop {
+            j = self.next(j);
+            let slot = self.table[j];
+            if slot.id == EMPTY {
+                break;
+            }
+            // Steps forward from `from` to `to`.
+            let steps = |from: usize, to: usize| (to + cap - from) % cap;
+            let home = self.home(slot.key);
+            if steps(home, hole) < steps(home, j) {
+                self.table[hole] = slot;
+                hole = j;
             }
         }
-        Self {
-            hasher: MinHasher::new(bands, rows_per_band, seed),
-            seed,
-            buckets,
-            keys,
+        self.table[hole] = VACANT;
+    }
+
+    /// Refiles every entry's keys into a table of `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        self.table = vec![VACANT; slots];
+        for at in 0..self.ids.len() {
+            let id = self.ids[at];
+            for k in 0..self.bands {
+                self.insert_pair(self.keys[at * self.bands + k], id);
+            }
+        }
+    }
+}
+
+/// Table slots for `entries` entries of `bands` keys: twice the most pairs
+/// they can file, so the load factor never passes one half.
+fn slots_for(entries: usize, bands: usize) -> usize {
+    entries.saturating_mul(bands).saturating_mul(2).max(16)
+}
+
+/// Rotation densification: each empty bin (still `u64::MAX`) takes the
+/// nearest filled bin to its right, wrapping around, mixed with its
+/// distance from it. Two sets agree in a densified bin only when they
+/// agree on that filled bin and on the gap. An all-empty signature stays
+/// all `u64::MAX`.
+fn densify(sig: &mut [u64]) {
+    let n = sig.len();
+    let Some(last) = sig.iter().rposition(|&v| v != u64::MAX) else {
+        return;
+    };
+    let (mut source, mut gap) = (sig[last], 0u64);
+    for step in 1..n {
+        let j = (last + n - step) % n;
+        if sig[j] == u64::MAX {
+            gap += 1;
+            sig[j] = mix64(source ^ gap);
+        } else {
+            (source, gap) = (sig[j], 0);
         }
     }
 }
@@ -199,6 +434,29 @@ mod tests {
 
     fn chip(seed: u64) -> ErrorString {
         es((0..300).map(|i| (i * 97 + seed * 7919) % 32_768).collect())
+    }
+
+    /// Every filed pair, sorted: the table's contents without its layout.
+    fn pairs(idx: &LshIndex) -> Vec<(u64, u32)> {
+        let mut out: Vec<(u64, u32)> = idx
+            .table
+            .iter()
+            .filter(|s| s.id != EMPTY)
+            .map(|s| (s.key, s.id))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The pairs the key array implies, one per distinct key of an id.
+    fn expected_pairs(idx: &LshIndex) -> Vec<(u64, u32)> {
+        let mut out: Vec<(u64, u32)> = idx
+            .entries()
+            .flat_map(|(id, keys)| keys.iter().map(move |&k| (k, id)))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     #[test]
@@ -252,7 +510,7 @@ mod tests {
         assert!(!idx.remove(7));
         assert!(idx.is_empty());
         assert!(idx.candidates(&chip(7)).is_empty());
-        assert_eq!(idx.buckets().count(), 0, "empty buckets are dropped");
+        assert!(pairs(&idx).is_empty(), "no pair outlives its id");
     }
 
     #[test]
@@ -263,23 +521,38 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let cands = idx.candidates(&chip(2));
         assert_eq!(cands, vec![1]);
+        assert!(idx.candidates(&chip(1)).is_empty());
+        assert_eq!(pairs(&idx), expected_pairs(&idx));
     }
 
     #[test]
-    fn from_parts_reconstructs_reverse_map() {
+    fn from_entries_routes_like_the_signed_index() {
         let mut idx = LshIndex::new(8, 2, 5);
         for id in 0..10 {
             idx.insert(id, &chip(id as u64));
         }
-        let mut rebuilt = LshIndex::from_parts(
+        let mut rebuilt = LshIndex::from_entries(
             idx.bands(),
             idx.rows_per_band(),
             idx.seed(),
-            idx.buckets.clone(),
+            idx.ids.clone(),
+            idx.keys.clone(),
         );
-        assert_eq!(rebuilt.len(), idx.len());
+        assert!(rebuilt.covers(10));
+        assert_eq!(pairs(&rebuilt), pairs(&idx));
+        for id in 0..10 {
+            assert_eq!(rebuilt.candidates(&chip(id)), idx.candidates(&chip(id)));
+        }
         assert!(rebuilt.remove(3));
         assert!(!rebuilt.candidates(&chip(3)).contains(&3));
+    }
+
+    #[test]
+    fn a_repeated_key_of_one_id_is_filed_once() {
+        let mut idx = LshIndex::from_entries(3, 1, 12, vec![0, 1], vec![5, 5, 6, 5, 7, 8]);
+        assert_eq!(pairs(&idx), vec![(5, 0), (5, 1), (6, 0), (7, 1), (8, 1)]);
+        assert!(idx.remove(0));
+        assert_eq!(pairs(&idx), vec![(5, 1), (7, 1), (8, 1)]);
     }
 
     #[test]
@@ -289,11 +562,112 @@ mod tests {
             for id in 0..50 {
                 idx.insert(id, &chip(id as u64));
             }
-            idx.buckets
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<_>>()
+            idx.keys
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn build_is_byte_identical_at_1_2_and_4_threads() {
+        let sets: Vec<ErrorString> = (0..1000).map(chip).collect();
+        let image = |threads| {
+            let index = LshIndex::build(
+                16,
+                4,
+                11,
+                sets.len(),
+                |i| &sets[i],
+                Parallelism::new(threads),
+            );
+            let mut buf = Vec::new();
+            crate::persistence::save_index(&index, &mut buf).unwrap();
+            (buf, pairs(&index))
+        };
+        let single = image(1);
+        let mut signed = LshIndex::new(16, 4, 11);
+        for (id, set) in sets.iter().enumerate() {
+            signed.insert(id as u32, set);
+        }
+        assert_eq!(single.1, pairs(&signed), "build files what insert files");
+        for threads in [2, 4] {
+            assert!(image(threads) == single, "{threads} threads differ");
+        }
+    }
+
+    #[test]
+    fn empty_set_signs_as_the_sentinel() {
+        let idx = LshIndex::new(4, 3, 8);
+        let keys = idx.band_keys(&ErrorString::empty(4096));
+        assert_eq!(keys, fold_band_keys(&[u64::MAX; 12], 4, 3));
+    }
+
+    #[test]
+    fn densified_bins_copy_the_nearest_filled_bin_to_the_right() {
+        let m = u64::MAX;
+        let mut sig = [m, 10, m, m, 20, m];
+        densify(&mut sig);
+        assert_eq!(
+            sig,
+            [
+                mix64(10 ^ 1),
+                10,
+                mix64(20 ^ 2),
+                mix64(20 ^ 1),
+                20,
+                mix64(10 ^ 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn table_stays_bounded_and_routes_every_id_under_refine_churn() {
+        // Built at the full load factor, so probe runs are long enough that
+        // a remove-and-refile would move slots.
+        let sets: Vec<ErrorString> = (0..64).map(chip).collect();
+        let mut idx = LshIndex::build(16, 4, 9, 64, |i| &sets[i], Parallelism::single());
+        let capacity = idx.table.len();
+        let layout = idx.table.clone();
+        // Refines that keep every band key touch nothing, checked after each
+        // one: a remove-and-refile can swap slots that a later one swaps back.
+        for _ in 0..20 {
+            for id in 0..64 {
+                idx.insert(id, &sets[id as usize]);
+                assert!(idx.table == layout, "refining {id} moved a slot");
+            }
+        }
+        // Refines that change the keys, round after round.
+        for round in 1..=20u64 {
+            for id in 0..64 {
+                idx.insert(id, &chip(u64::from(id) + 1000 * round));
+            }
+            assert_eq!(idx.table.len(), capacity, "round {round} grew the table");
+            assert_eq!(pairs(&idx), expected_pairs(&idx), "round {round}");
+        }
+        for id in 0..64 {
+            assert!(
+                idx.candidates(&chip(u64::from(id) + 20_000)).contains(&id),
+                "entry {id} is no longer routed"
+            );
+        }
+        let vacant = idx.table.iter().filter(|s| s.id == EMPTY).count();
+        assert!(2 * vacant >= idx.table.len(), "load factor passed one half");
+    }
+
+    #[test]
+    fn growth_keeps_every_pair_reachable() {
+        let mut idx = LshIndex::new(4, 2, 10);
+        // Out-of-order ids exercise insertion in the middle of the array.
+        for id in (0..200).rev().step_by(2).chain((0..200).step_by(2)) {
+            idx.insert(id, &chip(u64::from(id)));
+        }
+        assert!(idx.covers(200));
+        assert_eq!(pairs(&idx), expected_pairs(&idx));
+        for id in 0..200 {
+            assert!(idx.candidates(&chip(u64::from(id))).contains(&id));
+        }
+        for id in (0..200).step_by(3) {
+            assert!(idx.remove(id));
+        }
+        assert_eq!(pairs(&idx), expected_pairs(&idx));
     }
 }

@@ -18,19 +18,21 @@
 //! silently partial database.
 //!
 //! The companion index format ([`save_index`] / [`load_index`]) persists an
-//! [`LshIndex`]'s bucket layout so `pc-service` restarts recover their
-//! routing index without re-signing every fingerprint:
+//! [`LshIndex`]'s band keys so `pc-service` restarts recover their routing
+//! index without re-signing every fingerprint:
 //!
 //! ```text
-//! probable-cause-index 2
-//! minhash <bands> <rows_per_band> <seed>
+//! probable-cause-index 3
+//! oph <bands> <rows_per_band> <seed>
 //! entries <count>
-//! bucket <band_key> <id,id,id,...>
+//! keys <id> <key,key,...>
 //! crc32 <8-hex>
 //! ```
 //!
-//! Bucket lines are emitted in ascending band-key order and bucket members
-//! keep their stored order, so save → load → save is byte-identical.
+//! There is one `keys` line per indexed id, ids strictly ascending, each
+//! with exactly `bands` keys in band order, so save → load → save is
+//! byte-identical. A version-2 index (MinHash bucket lines) is refused as
+//! an unsupported header.
 //!
 //! # Crash safety
 //!
@@ -49,7 +51,6 @@
 
 use crate::{ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance};
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::ffi::OsString;
 use std::fmt;
 use std::fs::{self, File};
@@ -97,7 +98,11 @@ impl From<io::Error> for DbIoError {
 }
 
 const DB_HEADER_V2: &str = "probable-cause-db 2";
-const INDEX_HEADER_V2: &str = "probable-cause-index 2";
+const INDEX_HEADER_V3: &str = "probable-cause-index 3";
+
+/// The most bins (`bands × rows`) a loaded index may sign with; a
+/// signature allocates one word per bin.
+const MAX_INDEX_BINS: usize = 1 << 16;
 
 /// CRC-32 (IEEE, reflected — the zip/png polynomial) of every byte value,
 /// built at compile time: the checksum costs one lookup per byte and the
@@ -403,8 +408,11 @@ pub fn load_db<R: BufRead>(mut r: R) -> Result<FingerprintDb<String, PcDistance>
             .filter(|&o| o > 0)
             .ok_or_else(|| bad(n, "bad observation count"))?;
         let positions_field = fields.next().unwrap_or("").trim();
+        // Sized from the field, so a stored fingerprint holds no slack for
+        // the server's lifetime.
         let mut positions = Vec::new();
         if !positions_field.is_empty() {
+            positions.reserve_exact(positions_field.bytes().filter(|&b| b == b',').count() + 1);
             for tok in positions_field.split(',') {
                 positions.push(tok.parse::<u64>().map_err(|_| bad(n, "bad bit position"))?);
             }
@@ -416,8 +424,8 @@ pub fn load_db<R: BufRead>(mut r: R) -> Result<FingerprintDb<String, PcDistance>
     Ok(db)
 }
 
-/// Writes an [`LshIndex`]'s layout to `w` in the checksummed version-2 index
-/// format.
+/// Writes an [`LshIndex`]'s band keys to `w` in the checksummed version-3
+/// index format, streaming them from the index.
 ///
 /// A `&mut` reference may be passed as the writer.
 ///
@@ -426,32 +434,32 @@ pub fn load_db<R: BufRead>(mut r: R) -> Result<FingerprintDb<String, PcDistance>
 /// Propagates I/O errors.
 pub fn save_index<W: Write>(index: &LshIndex, w: W) -> io::Result<()> {
     let mut out = CrcWriter::new(w);
-    writeln!(out, "{INDEX_HEADER_V2}")?;
+    writeln!(out, "{INDEX_HEADER_V3}")?;
     writeln!(
         out,
-        "minhash {} {} {}",
+        "oph {} {} {}",
         index.bands(),
         index.rows_per_band(),
         index.seed()
     )?;
     writeln!(out, "entries {}", index.len())?;
-    for (key, ids) in index.buckets() {
-        write!(out, "bucket {key} ")?;
-        write_list(&mut out, ids)?;
+    for (id, keys) in index.entries() {
+        write!(out, "keys {id} ")?;
+        write_list(&mut out, keys)?;
     }
     out.finish()
 }
 
-/// Reads an [`LshIndex`] layout from `r`, verifying the version-2 checksum
-/// trailer.
+/// Reads an [`LshIndex`] from `r`, verifying the version-3 checksum
+/// trailer. The band keys are adopted as stored, not re-signed.
 ///
 /// A `&mut` reference may be passed as the reader.
 ///
 /// # Errors
 ///
 /// [`DbIoError::BadFormat`] on any malformed line (including an entry count
-/// that disagrees with the bucket contents), truncation, or checksum
-/// mismatch; [`DbIoError::Io`] on read failure.
+/// that disagrees with the `keys` lines), an unsupported header,
+/// truncation, or checksum mismatch; [`DbIoError::Io`] on read failure.
 pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
     let mut text = String::new();
     r.read_to_string(&mut text)?;
@@ -461,27 +469,33 @@ pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
     };
     let body = open_envelope(
         &text,
-        INDEX_HEADER_V2,
+        INDEX_HEADER_V3,
         "missing or unsupported index header",
     )?;
     let mut lines = body.into_iter();
 
-    let (minhash_no, minhash_line) = lines.next().ok_or_else(|| bad(2, "missing minhash line"))?;
-    let fields: Vec<&str> = minhash_line
-        .strip_prefix("minhash ")
-        .ok_or_else(|| bad(minhash_no, "expected `minhash <bands> <rows> <seed>`"))?
+    let (family_no, family_line) = lines.next().ok_or_else(|| bad(2, "missing oph line"))?;
+    let fields: Vec<&str> = family_line
+        .strip_prefix("oph ")
+        .ok_or_else(|| bad(family_no, "expected `oph <bands> <rows> <seed>`"))?
         .split_whitespace()
         .collect();
     let [bands, rows, seed] = fields.as_slice() else {
-        return Err(bad(minhash_no, "expected three minhash fields"));
+        return Err(bad(family_no, "expected three oph fields"));
     };
     let bands: usize = bands
         .parse()
-        .map_err(|_| bad(minhash_no, "bad band count"))?;
-    let rows: usize = rows.parse().map_err(|_| bad(minhash_no, "bad row count"))?;
-    let seed: u64 = seed.parse().map_err(|_| bad(minhash_no, "bad seed"))?;
+        .map_err(|_| bad(family_no, "bad band count"))?;
+    let rows: usize = rows.parse().map_err(|_| bad(family_no, "bad row count"))?;
+    let seed: u64 = seed.parse().map_err(|_| bad(family_no, "bad seed"))?;
     if bands == 0 || rows == 0 {
-        return Err(bad(minhash_no, "bands and rows must be positive"));
+        return Err(bad(family_no, "bands and rows must be positive"));
+    }
+    if bands
+        .checked_mul(rows)
+        .is_none_or(|bins| bins > MAX_INDEX_BINS)
+    {
+        return Err(bad(family_no, &format!("more than {MAX_INDEX_BINS} bins")));
     }
 
     let (entries_no, entries_line) = lines.next().ok_or_else(|| bad(3, "missing entries line"))?;
@@ -490,47 +504,48 @@ pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
         .and_then(|s| s.trim().parse().ok())
         .ok_or_else(|| bad(entries_no, "expected `entries <count>`"))?;
 
-    let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    let mut last_key: Option<u64> = None;
+    // Exact for a well-formed file; every entry is a line and every key at
+    // least two bytes, so a wrong count cannot reserve past the file size.
+    let reserved = entries.min(lines.len());
+    let mut ids: Vec<u32> = Vec::with_capacity(reserved);
+    let mut keys: Vec<u64> = Vec::with_capacity(reserved.saturating_mul(bands).min(text.len() / 2));
     for (n, line) in lines {
         if line.trim().is_empty() {
             continue;
         }
         let rest = line
-            .strip_prefix("bucket ")
-            .ok_or_else(|| bad(n, "expected `bucket ...`"))?;
-        let (key, ids) = rest
+            .strip_prefix("keys ")
+            .ok_or_else(|| bad(n, "expected `keys ...`"))?;
+        let (id, list) = rest
             .split_once(' ')
-            .ok_or_else(|| bad(n, "expected `bucket <key> <ids>`"))?;
-        let key: u64 = key.parse().map_err(|_| bad(n, "bad bucket key"))?;
-        if last_key.is_some_and(|k| key <= k) {
-            return Err(bad(n, "bucket keys must be strictly ascending"));
+            .ok_or_else(|| bad(n, "expected `keys <id> <keys>`"))?;
+        let id: u32 = id
+            .parse()
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .ok_or_else(|| bad(n, "bad entry id"))?;
+        if ids.last().is_some_and(|&last| id <= last) {
+            return Err(bad(n, "entry ids must be strictly ascending"));
         }
-        last_key = Some(key);
-        let mut members = Vec::new();
-        for tok in ids.trim().split(',') {
-            let id = tok.parse::<u32>().map_err(|_| bad(n, "bad entry id"))?;
-            if members.contains(&id) {
-                return Err(bad(n, "duplicate id in bucket"));
-            }
-            members.push(id);
+        let first = keys.len();
+        for tok in list.trim().split(',').take(bands + 1) {
+            keys.push(tok.parse().map_err(|_| bad(n, "bad band key"))?);
         }
-        if members.is_empty() {
-            return Err(bad(n, "empty bucket"));
+        if keys.len() - first != bands {
+            return Err(bad(n, &format!("expected {bands} band keys")));
         }
-        buckets.insert(key, members);
+        ids.push(id);
     }
-    let index = LshIndex::from_parts(bands, rows, seed, buckets);
-    if index.len() != entries {
+    if ids.len() != entries {
         return Err(bad(
             entries_no,
             &format!(
-                "entry count {entries} disagrees with bucket contents ({})",
-                index.len()
+                "entry count {entries} disagrees with the {} keys lines",
+                ids.len()
             ),
         ));
     }
-    Ok(index)
+    Ok(LshIndex::from_entries(bands, rows, seed, ids, keys))
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -931,24 +946,33 @@ mod tests {
                 b"probable-cause-index 1\nminhash 2 2 1\nentries 0\n".to_vec(),
                 1,
             ),
-            (sealed("probable-cause-index 2\nminhash 0 2 1\n"), 2),
-            (sealed("probable-cause-index 2\nminhash 2 2\n"), 2),
+            // A sealed version-2 image: MinHash buckets are no longer read.
             (
-                sealed("probable-cause-index 2\nminhash 2 2 1\nentries x\n"),
-                3,
+                sealed("probable-cause-index 2\nminhash 2 2 1\nentries 1\nbucket 5 0\n"),
+                1,
             ),
+            (sealed("probable-cause-index 3\noph 0 2 1\n"), 2),
+            (sealed("probable-cause-index 3\noph 2 2\n"), 2),
+            (sealed("probable-cause-index 3\noph 65536 2 1\n"), 2),
+            (sealed("probable-cause-index 3\noph 2 2 1\nentries x\n"), 3),
             (
-                sealed("probable-cause-index 2\nminhash 2 2 1\nentries 1\nbucket 5 1,1\n"),
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 1\nkeys 0 5\n"),
                 4,
             ),
             (
-                sealed(
-                    "probable-cause-index 2\nminhash 2 2 1\nentries 1\nbucket 9 0\nbucket 4 0\n",
-                ),
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 1\nkeys 0 5,6,7\n"),
+                4,
+            ),
+            (
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 1\nkeys 4294967295 5,6\n"),
+                4,
+            ),
+            (
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 2\nkeys 1 5,6\nkeys 0 7,8\n"),
                 5,
             ),
             (
-                sealed("probable-cause-index 2\nminhash 2 2 1\nentries 3\nbucket 5 0\n"),
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 3\nkeys 0 5,6\n"),
                 3,
             ),
         ];

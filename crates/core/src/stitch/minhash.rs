@@ -98,15 +98,7 @@ impl MinHasher {
             self.seeds.len(),
             "signature length mismatch"
         );
-        (0..self.bands)
-            .map(|b| {
-                let mut acc = mix64(b as u64 ^ 0xB0A6_D5E3_1F2C_4B87);
-                for r in 0..self.rows {
-                    acc = mix64(acc ^ signature[b * self.rows + r]);
-                }
-                acc
-            })
-            .collect()
+        fold_band_keys(signature, self.bands, self.rows)
     }
 
     /// Estimated Jaccard similarity from two signatures (fraction of equal
@@ -120,6 +112,21 @@ impl MinHasher {
         let same = a.iter().zip(b).filter(|(x, y)| x == y).count();
         same as f64 / a.len() as f64
     }
+}
+
+/// Folds a signature of `bands × rows` lanes into one key per band: band
+/// `b` chains SplitMix64 over its `rows` lanes from a start that depends on
+/// `b`. [`MinHasher::band_keys`] and [`crate::LshIndex`] both fold this way.
+pub(crate) fn fold_band_keys(signature: &[u64], bands: usize, rows: usize) -> Vec<u64> {
+    (0..bands)
+        .map(|b| {
+            let mut acc = mix64(b as u64 ^ 0xB0A6_D5E3_1F2C_4B87);
+            for r in 0..rows {
+                acc = mix64(acc ^ signature[b * rows + r]);
+            }
+            acc
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ mod minhash;
 mod reference;
 mod stitcher;
 
+pub(crate) use minhash::fold_band_keys;
 pub use minhash::MinHasher;
 pub use reference::ReferenceStitcher;
 pub use stitcher::{RefineRule, StitchConfig, Stitcher};

@@ -44,8 +44,11 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        // 16×4 banding: a same-chip pair at Jaccard similarity 0.9 is missed
-        // with probability ~5e-8; unrelated chips essentially never collide.
+        // 16×4 banding of the one-permutation index: every serving-shaped
+        // re-observation (312 enrolled bits, 16 missing, 16 added: Jaccard
+        // ≈ 0.9) found its chip in `crates/core/tests/index_recall.rs`, which
+        // holds its recall to the 16×4 MinHash family's at each distance
+        // below the threshold; unrelated chips essentially never collide.
         Self {
             bands: 16,
             rows_per_band: 4,

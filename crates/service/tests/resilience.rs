@@ -262,8 +262,22 @@ fn missing_torn_or_stale_index_is_rebuilt_at_open() {
         corrupt(&bak_path(&index_path));
     };
     let earlier = || write_pair(&index_path, &stale);
-    let cases: [(&str, &dyn Fn()); 3] =
-        [("missing", &missing), ("torn", &torn), ("stale", &earlier)];
+    // An index written before the version-3 format: its header is refused.
+    let older = || {
+        let v2 = intact.clone().map(|image| {
+            String::from_utf8(image)
+                .unwrap()
+                .replacen("probable-cause-index 3", "probable-cause-index 2", 1)
+                .into_bytes()
+        });
+        write_pair(&index_path, &v2);
+    };
+    let cases: [(&str, &dyn Fn()); 4] = [
+        ("missing", &missing),
+        ("torn", &torn),
+        ("stale", &earlier),
+        ("version 2", &older),
+    ];
     for (case, damage) in cases {
         let restarted = restart(damage);
         assert_eq!(restarted.rebuilds, 1, "{case}: one rebuild at open");

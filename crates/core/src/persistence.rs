@@ -34,6 +34,15 @@
 //! byte-identical. A version-2 index (MinHash bucket lines) is refused as
 //! an unsupported header.
 //!
+//! # Streaming
+//!
+//! Both directions stream. A save renders the image through a writer that
+//! folds each chunk into the CRC as it goes. A load reads one line at a
+//! time, folds it into the CRC and parses it as it arrives, so the open
+//! holds no copy of the file beside what it builds. The loaded value is
+//! returned only once the trailer matches. A damaged file gets the same
+//! error, at the same line, as a check of the whole text would give.
+//!
 //! # Crash safety
 //!
 //! The path-based entry points ([`save_db_to_path`] / [`load_db_from_path`]
@@ -54,7 +63,7 @@ use std::borrow::Borrow;
 use std::ffi::OsString;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// Error loading a fingerprint database.
@@ -104,11 +113,13 @@ const INDEX_HEADER_V3: &str = "probable-cause-index 3";
 /// signature allocates one word per bin.
 const MAX_INDEX_BINS: usize = 1 << 16;
 
-/// CRC-32 (IEEE, reflected — the zip/png polynomial) of every byte value,
-/// built at compile time: the checksum costs one lookup per byte and the
-/// crate stays dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE, reflected — the zip/png polynomial) lookup tables, built
+/// at compile time so the crate stays dependency-free. `CRC32_TABLES[0]`
+/// is the checksum of every byte value; `CRC32_TABLES[k]` is that of a
+/// byte followed by `k` zero bytes, so slicing-by-8 folds eight bytes with
+/// eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut byte = 0;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -117,21 +128,49 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        byte += 1;
+    }
+    tables
 };
 
 /// Folds `bytes` into a running CRC-32 register (start from `!0`, finish
-/// with `!`).
+/// with `!`): eight bytes a step by slicing-by-8, then the tail one byte
+/// at a time.
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        let [a, b, c, d] = lo.to_le_bytes();
+        let [e, f, g, h] = hi.to_le_bytes();
+        crc = t7[usize::from(a)]
+            ^ t6[usize::from(b)]
+            ^ t5[usize::from(c)]
+            ^ t4[usize::from(d)]
+            ^ t3[usize::from(e)]
+            ^ t2[usize::from(f)]
+            ^ t1[usize::from(g)]
+            ^ t0[usize::from(h)];
+    }
+    for &b in words.remainder() {
+        crc = t0[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     crc
 }
 
+#[cfg(test)]
 fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
 }
@@ -203,57 +242,114 @@ fn write_list<T: fmt::Display>(
     out.write_all(b"\n")
 }
 
-/// Splits `text` into `(1-based line number, starting byte offset, content)`
-/// triples with the `\n` (and any preceding `\r`) stripped from `content`.
-fn split_lines(text: &str) -> Vec<(usize, usize, &str)> {
-    let mut lines = Vec::new();
-    let mut offset = 0;
-    for (idx, segment) in text.split_inclusive('\n').enumerate() {
-        let content = segment.strip_suffix('\n').unwrap_or(segment);
-        let content = content.strip_suffix('\r').unwrap_or(content);
-        lines.push((idx + 1, offset, content));
-        offset += segment.len();
-    }
-    lines
+/// `line` without its `\n` and any `\r` before it.
+fn line_content(line: &str) -> &str {
+    let content = line.strip_suffix('\n').unwrap_or(line);
+    content.strip_suffix('\r').unwrap_or(content)
 }
 
-/// Validates the version-2 header and the `crc32` trailer; returns the body
-/// as `(line number, content)` pairs — every line after the header, minus
-/// the trailer.
-fn open_envelope<'a>(
-    text: &'a str,
+/// Streams one checksummed image from `r`: the header line, the body, and
+/// the `crc32` trailer over every byte before it. Each body line reaches
+/// `body` as it arrives, with its 1-based number and without its line
+/// ending; a blank line arrives as `""`. Nothing is kept but the line in
+/// hand and one held-back line: the trailer is the last non-blank line,
+/// and blank lines after it are outside the checksum, so each non-blank
+/// line waits until the next one shows it is not the trailer.
+///
+/// Whatever `body` builds must be used only when this returns `Ok`, which
+/// happens only once the trailer matches. A failing input gets the first
+/// of these, in order, as a whole-file check would find them: invalid
+/// UTF-8 anywhere, a bad header, an unterminated last line, a missing or
+/// unparsable trailer, a checksum mismatch, and the first error `body`
+/// returned (after which it is not called again).
+fn read_envelope<R: BufRead>(
+    mut r: R,
     header: &str,
     bad_header: &str,
-) -> Result<Vec<(usize, &'a str)>, DbIoError> {
-    let bad = |line: usize, message: String| DbIoError::BadFormat { line, message };
-    let lines = split_lines(text);
-    let Some(&(_, _, first)) = lines.first() else {
-        return Err(bad(1, "empty file".to_string()));
-    };
-    if first.trim() != header {
-        return Err(bad(1, bad_header.to_string()));
+    mut body: impl FnMut(usize, &str) -> Result<(), DbIoError>,
+) -> Result<(), DbIoError> {
+    let mut buf = Vec::new();
+    // The last non-blank line after the header, its number (0: none yet),
+    // and the CRC register over every byte before it.
+    let mut held = String::new();
+    let mut held_no = 0;
+    let mut crc_before_held = !0u32;
+    let mut crc = !0u32;
+    let mut lines = 0;
+    let mut blanks = 0;
+    let (mut utf8, mut header_ok, mut terminated) = (true, false, true);
+    let mut body_error = None;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        lines += 1;
+        terminated = buf.ends_with(b"\n");
+        if !utf8 {
+            continue;
+        }
+        // A `\n` byte never sits inside a multi-byte sequence, so checking
+        // each line checks the whole stream.
+        let text = match String::from_utf8(std::mem::take(&mut buf)) {
+            Ok(text) => text,
+            Err(e) => {
+                utf8 = false;
+                buf = e.into_bytes();
+                continue;
+            }
+        };
+        let crc_before = crc;
+        crc = crc32_update(crc, text.as_bytes());
+        let content = line_content(&text);
+        if lines == 1 {
+            header_ok = content.trim() == header;
+        } else if content.trim().is_empty() {
+            blanks += 1;
+        } else {
+            // `text` is not the trailer's line, so the held line and the
+            // blank lines since are body.
+            if header_ok && body_error.is_none() {
+                let held_line = (held_no > 0).then(|| (held_no, line_content(&held)));
+                let blank_lines = (lines - blanks..lines).map(|n| (n, ""));
+                body_error = held_line
+                    .into_iter()
+                    .chain(blank_lines)
+                    .find_map(|(n, line)| body(n, line).err());
+            }
+            crc_before_held = crc_before;
+            held_no = lines;
+            blanks = 0;
+            buf = std::mem::replace(&mut held, text).into_bytes();
+            continue;
+        }
+        buf = text.into_bytes();
     }
-    if !text.ends_with('\n') {
+
+    if !utf8 {
+        return Err(DbIoError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )));
+    }
+    if lines == 0 {
+        return Err(bad(1, "empty file"));
+    }
+    if !header_ok {
+        return Err(bad(1, bad_header));
+    }
+    if !terminated {
         return Err(bad(
-            lines.len(),
-            "final line is not newline-terminated (file truncated?)".to_string(),
+            lines,
+            "final line is not newline-terminated (file truncated?)",
         ));
     }
-    let mut body = lines[1..].to_vec();
-    // The trailer must be the last non-blank line; anything truncated away
-    // or appended after it fails here.
-    let Some(pos) = body.iter().rposition(|(_, _, l)| !l.trim().is_empty()) else {
-        return Err(bad(
-            lines.len(),
-            "missing crc32 trailer (file truncated?)".to_string(),
-        ));
-    };
-    let (line_no, offset, trailer) = body[pos];
-    let Some(hex) = trailer.trim().strip_prefix("crc32 ") else {
-        return Err(bad(
-            line_no,
-            "missing crc32 trailer (file truncated?)".to_string(),
-        ));
+    let missing_trailer = "missing crc32 trailer (file truncated?)";
+    if held_no == 0 {
+        return Err(bad(lines, missing_trailer));
+    }
+    let Some(hex) = line_content(&held).trim().strip_prefix("crc32 ") else {
+        return Err(bad(held_no, missing_trailer));
     };
     let hex = hex.trim();
     // Strictly 8 lowercase hex digits — the canonical rendering — so a bit
@@ -262,16 +358,56 @@ fn open_envelope<'a>(
     let stated = canonical
         .then(|| u32::from_str_radix(hex, 16).ok())
         .flatten()
-        .ok_or_else(|| bad(line_no, format!("unparsable crc32 trailer {hex:?}")))?;
-    let actual = crc32(&text.as_bytes()[..offset]);
+        .ok_or_else(|| bad(held_no, &format!("unparsable crc32 trailer {hex:?}")))?;
+    let actual = !crc_before_held;
     if stated != actual {
         return Err(bad(
-            line_no,
-            format!("crc32 mismatch: trailer says {stated:08x}, contents hash to {actual:08x}"),
+            held_no,
+            &format!("crc32 mismatch: trailer says {stated:08x}, contents hash to {actual:08x}"),
         ));
     }
-    body.truncate(pos);
-    Ok(body.into_iter().map(|(n, _, l)| (n, l)).collect())
+    body_error.map_or(Ok(()), Err)
+}
+
+/// The comma-separated decimal tokens of a list, parsed in one pass over
+/// its bytes: each token yields what `str::parse::<u64>` gives it (`None`
+/// when refused), as `split(',')` would hand them over. Accepted is an
+/// optional leading `+` and then one or more ASCII digits, without
+/// overflow. The list ends after a refused token.
+struct DecimalList<'a>(Option<&'a [u8]>);
+
+impl<'a> DecimalList<'a> {
+    fn new(list: &'a str) -> Self {
+        Self(Some(list.as_bytes()))
+    }
+}
+
+impl Iterator for DecimalList<'_> {
+    type Item = Option<u64>;
+
+    fn next(&mut self) -> Option<Option<u64>> {
+        let bytes = self.0.take()?;
+        let digits = bytes.strip_prefix(b"+").unwrap_or(bytes);
+        let mut value = 0u64;
+        for (i, &b) in digits.iter().enumerate() {
+            let digit = b.wrapping_sub(b'0');
+            if digit < 10 {
+                let Some(next) = value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(digit)))
+                else {
+                    return Some(None);
+                };
+                value = next;
+            } else if b == b',' && i > 0 {
+                self.0 = Some(&digits[i + 1..]);
+                return Some(Some(value));
+            } else {
+                return Some(None);
+            }
+        }
+        Some((!digits.is_empty()).then_some(value))
+    }
 }
 
 fn escape_label(label: &str) -> String {
@@ -356,72 +492,93 @@ pub fn save_db<W: Write>(db: &FingerprintDb<String, PcDistance>, w: W) -> io::Re
 }
 
 /// Reads a string-labelled database from `r` (paper metric, stored
-/// threshold), verifying the version-2 checksum trailer.
+/// threshold), streaming it a line at a time and returning it only once
+/// the version-2 checksum trailer matches.
 ///
 /// A `&mut` reference may be passed as the reader.
 ///
 /// # Errors
 ///
 /// [`DbIoError::BadFormat`] on any malformed line, truncation, or checksum
-/// mismatch; [`DbIoError::Io`] on read failure.
-pub fn load_db<R: BufRead>(mut r: R) -> Result<FingerprintDb<String, PcDistance>, DbIoError> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    let bad = |line: usize, message: &str| DbIoError::BadFormat {
+/// mismatch; [`DbIoError::Io`] on read failure or invalid UTF-8.
+pub fn load_db<R: BufRead>(r: R) -> Result<FingerprintDb<String, PcDistance>, DbIoError> {
+    let mut db = None;
+    read_envelope(
+        r,
+        DB_HEADER_V2,
+        "missing or unsupported header",
+        |n, line| {
+            match db.as_mut() {
+                None => {
+                    let threshold = parse_threshold(n, line)?;
+                    db = Some(FingerprintDb::new(PcDistance::new(), threshold));
+                }
+                Some(db) if !line.trim().is_empty() => {
+                    let (label, fingerprint) = parse_fp(n, line)?;
+                    db.insert(label, fingerprint);
+                }
+                Some(_) => {}
+            }
+            Ok(())
+        },
+    )?;
+    db.ok_or_else(|| bad(2, "missing threshold"))
+}
+
+/// A [`DbIoError::BadFormat`] at `line`.
+fn bad(line: usize, message: &str) -> DbIoError {
+    DbIoError::BadFormat {
         line,
         message: message.to_string(),
-    };
-    let body = open_envelope(&text, DB_HEADER_V2, "missing or unsupported header")?;
-    let mut lines = body.into_iter();
+    }
+}
 
-    let (threshold_no, threshold_line) = lines.next().ok_or_else(|| bad(2, "missing threshold"))?;
-    let threshold: f64 = threshold_line
+/// The database's `threshold <value>` line, line `n`.
+fn parse_threshold(n: usize, line: &str) -> Result<f64, DbIoError> {
+    let threshold: f64 = line
         .strip_prefix("threshold ")
-        .ok_or_else(|| bad(threshold_no, "expected `threshold <value>`"))?
+        .ok_or_else(|| bad(n, "expected `threshold <value>`"))?
         .trim()
         .parse()
-        .map_err(|_| bad(threshold_no, "unparsable threshold"))?;
+        .map_err(|_| bad(n, "unparsable threshold"))?;
     if !(threshold > 0.0 && threshold <= 1.0) {
-        return Err(bad(threshold_no, "threshold out of (0, 1]"));
+        return Err(bad(n, "threshold out of (0, 1]"));
     }
+    Ok(threshold)
+}
 
-    let mut db = FingerprintDb::new(PcDistance::new(), threshold);
-    for (n, line) in lines {
-        if line.trim().is_empty() {
-            continue;
+/// One non-blank `fp` line, line `n`, as a label and its fingerprint.
+fn parse_fp(n: usize, line: &str) -> Result<(String, Fingerprint), DbIoError> {
+    let rest = line
+        .strip_prefix("fp ")
+        .ok_or_else(|| bad(n, "expected `fp ...`"))?;
+    let mut fields = rest.splitn(4, ' ');
+    let label = fields
+        .next()
+        .and_then(unescape_label)
+        .ok_or_else(|| bad(n, "bad label"))?;
+    let size: u64 = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| bad(n, "bad size"))?;
+    let observations: u32 = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|&o| o > 0)
+        .ok_or_else(|| bad(n, "bad observation count"))?;
+    let positions_field = fields.next().unwrap_or("").trim();
+    // Sized from the field, so a stored fingerprint holds no slack for the
+    // server's lifetime.
+    let mut positions = Vec::new();
+    if !positions_field.is_empty() {
+        positions.reserve_exact(positions_field.bytes().filter(|&b| b == b',').count() + 1);
+        for position in DecimalList::new(positions_field) {
+            positions.push(position.ok_or_else(|| bad(n, "bad bit position"))?);
         }
-        let rest = line
-            .strip_prefix("fp ")
-            .ok_or_else(|| bad(n, "expected `fp ...`"))?;
-        let mut fields = rest.splitn(4, ' ');
-        let label = fields
-            .next()
-            .and_then(unescape_label)
-            .ok_or_else(|| bad(n, "bad label"))?;
-        let size: u64 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad(n, "bad size"))?;
-        let observations: u32 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .filter(|&o| o > 0)
-            .ok_or_else(|| bad(n, "bad observation count"))?;
-        let positions_field = fields.next().unwrap_or("").trim();
-        // Sized from the field, so a stored fingerprint holds no slack for
-        // the server's lifetime.
-        let mut positions = Vec::new();
-        if !positions_field.is_empty() {
-            positions.reserve_exact(positions_field.bytes().filter(|&b| b == b',').count() + 1);
-            for tok in positions_field.split(',') {
-                positions.push(tok.parse::<u64>().map_err(|_| bad(n, "bad bit position"))?);
-            }
-        }
-        let errors = ErrorString::from_sorted(positions, size)
-            .map_err(|e| bad(n, &format!("bad error string: {e}")))?;
-        db.insert(label, Fingerprint::from_parts(errors, observations));
     }
-    Ok(db)
+    let errors = ErrorString::from_sorted(positions, size)
+        .map_err(|e| bad(n, &format!("bad error string: {e}")))?;
+    Ok((label, Fingerprint::from_parts(errors, observations)))
 }
 
 /// Writes an [`LshIndex`]'s band keys to `w` in the checksummed version-3
@@ -450,8 +607,9 @@ pub fn save_index<W: Write>(index: &LshIndex, w: W) -> io::Result<()> {
     out.finish()
 }
 
-/// Reads an [`LshIndex`] from `r`, verifying the version-3 checksum
-/// trailer. The band keys are adopted as stored, not re-signed.
+/// Reads an [`LshIndex`] from `r`, streaming it a line at a time and
+/// returning it only once the version-3 checksum trailer matches. The band
+/// keys are adopted as stored, not re-signed.
 ///
 /// A `&mut` reference may be passed as the reader.
 ///
@@ -459,83 +617,71 @@ pub fn save_index<W: Write>(index: &LshIndex, w: W) -> io::Result<()> {
 ///
 /// [`DbIoError::BadFormat`] on any malformed line (including an entry count
 /// that disagrees with the `keys` lines), an unsupported header,
-/// truncation, or checksum mismatch; [`DbIoError::Io`] on read failure.
-pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    let bad = |line: usize, message: &str| DbIoError::BadFormat {
-        line,
-        message: message.to_string(),
-    };
-    let body = open_envelope(
-        &text,
+/// truncation, or checksum mismatch; [`DbIoError::Io`] on read failure or
+/// invalid UTF-8.
+pub fn load_index<R: BufRead>(r: R) -> Result<LshIndex, DbIoError> {
+    let mut family: Option<(usize, usize, u64)> = None;
+    let mut count: Option<(usize, usize)> = None;
+    let (mut ids, mut keys) = (Vec::<u32>::new(), Vec::<u64>::new());
+    read_envelope(
+        r,
         INDEX_HEADER_V3,
         "missing or unsupported index header",
+        |n, line| {
+            let Some((bands, ..)) = family else {
+                family = Some(parse_family(n, line)?);
+                return Ok(());
+            };
+            let Some((_, entries)) = count else {
+                let entries = line
+                    .strip_prefix("entries ")
+                    .and_then(|s| s.trim().parse::<usize>().ok())
+                    .ok_or_else(|| bad(n, "expected `entries <count>`"))?;
+                count = Some((n, entries));
+                return Ok(());
+            };
+            if line.trim().is_empty() {
+                return Ok(());
+            }
+            let rest = line
+                .strip_prefix("keys ")
+                .ok_or_else(|| bad(n, "expected `keys ...`"))?;
+            let (id, list) = rest
+                .split_once(' ')
+                .ok_or_else(|| bad(n, "expected `keys <id> <keys>`"))?;
+            let id: u32 = id
+                .parse()
+                .ok()
+                .filter(|&id| id != u32::MAX)
+                .ok_or_else(|| bad(n, "bad entry id"))?;
+            if ids.last().is_some_and(|&last| id <= last) {
+                return Err(bad(n, "entry ids must be strictly ascending"));
+            }
+            if ids.len() == ids.capacity() {
+                // Toward the stated count, but at most doubling what the
+                // lines read so far hold: exact for an honest count, and a
+                // corrupt one cannot reserve memory the file does not back.
+                let room = entries.saturating_sub(ids.len()).clamp(1, ids.len().max(1));
+                ids.reserve_exact(room);
+                keys.reserve_exact(room * bands);
+            }
+            let mut listed = 0;
+            for key in DecimalList::new(list.trim()).take(bands + 1) {
+                let key = key.ok_or_else(|| bad(n, "bad band key"))?;
+                listed += 1;
+                if listed <= bands {
+                    keys.push(key);
+                }
+            }
+            if listed != bands {
+                return Err(bad(n, &format!("expected {bands} band keys")));
+            }
+            ids.push(id);
+            Ok(())
+        },
     )?;
-    let mut lines = body.into_iter();
-
-    let (family_no, family_line) = lines.next().ok_or_else(|| bad(2, "missing oph line"))?;
-    let fields: Vec<&str> = family_line
-        .strip_prefix("oph ")
-        .ok_or_else(|| bad(family_no, "expected `oph <bands> <rows> <seed>`"))?
-        .split_whitespace()
-        .collect();
-    let [bands, rows, seed] = fields.as_slice() else {
-        return Err(bad(family_no, "expected three oph fields"));
-    };
-    let bands: usize = bands
-        .parse()
-        .map_err(|_| bad(family_no, "bad band count"))?;
-    let rows: usize = rows.parse().map_err(|_| bad(family_no, "bad row count"))?;
-    let seed: u64 = seed.parse().map_err(|_| bad(family_no, "bad seed"))?;
-    if bands == 0 || rows == 0 {
-        return Err(bad(family_no, "bands and rows must be positive"));
-    }
-    if bands
-        .checked_mul(rows)
-        .is_none_or(|bins| bins > MAX_INDEX_BINS)
-    {
-        return Err(bad(family_no, &format!("more than {MAX_INDEX_BINS} bins")));
-    }
-
-    let (entries_no, entries_line) = lines.next().ok_or_else(|| bad(3, "missing entries line"))?;
-    let entries: usize = entries_line
-        .strip_prefix("entries ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| bad(entries_no, "expected `entries <count>`"))?;
-
-    // Exact for a well-formed file; every entry is a line and every key at
-    // least two bytes, so a wrong count cannot reserve past the file size.
-    let reserved = entries.min(lines.len());
-    let mut ids: Vec<u32> = Vec::with_capacity(reserved);
-    let mut keys: Vec<u64> = Vec::with_capacity(reserved.saturating_mul(bands).min(text.len() / 2));
-    for (n, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("keys ")
-            .ok_or_else(|| bad(n, "expected `keys ...`"))?;
-        let (id, list) = rest
-            .split_once(' ')
-            .ok_or_else(|| bad(n, "expected `keys <id> <keys>`"))?;
-        let id: u32 = id
-            .parse()
-            .ok()
-            .filter(|&id| id != u32::MAX)
-            .ok_or_else(|| bad(n, "bad entry id"))?;
-        if ids.last().is_some_and(|&last| id <= last) {
-            return Err(bad(n, "entry ids must be strictly ascending"));
-        }
-        let first = keys.len();
-        for tok in list.trim().split(',').take(bands + 1) {
-            keys.push(tok.parse().map_err(|_| bad(n, "bad band key"))?);
-        }
-        if keys.len() - first != bands {
-            return Err(bad(n, &format!("expected {bands} band keys")));
-        }
-        ids.push(id);
-    }
+    let (bands, rows, seed) = family.ok_or_else(|| bad(2, "missing oph line"))?;
+    let (entries_no, entries) = count.ok_or_else(|| bad(3, "missing entries line"))?;
     if ids.len() != entries {
         return Err(bad(
             entries_no,
@@ -546,6 +692,31 @@ pub fn load_index<R: BufRead>(mut r: R) -> Result<LshIndex, DbIoError> {
         ));
     }
     Ok(LshIndex::from_entries(bands, rows, seed, ids, keys))
+}
+
+/// The index's `oph <bands> <rows> <seed>` line, line `n`.
+fn parse_family(n: usize, line: &str) -> Result<(usize, usize, u64), DbIoError> {
+    let fields: Vec<&str> = line
+        .strip_prefix("oph ")
+        .ok_or_else(|| bad(n, "expected `oph <bands> <rows> <seed>`"))?
+        .split_whitespace()
+        .collect();
+    let [bands, rows, seed] = fields.as_slice() else {
+        return Err(bad(n, "expected three oph fields"));
+    };
+    let bands: usize = bands.parse().map_err(|_| bad(n, "bad band count"))?;
+    let rows: usize = rows.parse().map_err(|_| bad(n, "bad row count"))?;
+    let seed: u64 = seed.parse().map_err(|_| bad(n, "bad seed"))?;
+    if bands == 0 || rows == 0 {
+        return Err(bad(n, "bands and rows must be positive"));
+    }
+    if bands
+        .checked_mul(rows)
+        .is_none_or(|bins| bins > MAX_INDEX_BINS)
+    {
+        return Err(bad(n, &format!("more than {MAX_INDEX_BINS} bins")));
+    }
+    Ok((bands, rows, seed))
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -681,13 +852,13 @@ pub struct Recovered<T> {
 
 fn load_with_fallback<T>(
     path: &Path,
-    parse: impl Fn(&[u8]) -> Result<T, DbIoError>,
+    parse: impl Fn(BufReader<File>) -> Result<T, DbIoError>,
 ) -> Result<Recovered<T>, DbIoError> {
     let read = |p: &Path| -> Result<T, DbIoError> {
         if pc_faults::fail_point("persist.load") {
             return Err(DbIoError::Io(pc_faults::injected_io("persist.load")));
         }
-        parse(&fs::read(p)?)
+        parse(BufReader::new(File::open(p)?))
     };
     match read(path) {
         Ok(value) => Ok(Recovered {
@@ -722,7 +893,7 @@ fn load_with_fallback<T>(
 pub fn load_db_from_path(
     path: &Path,
 ) -> Result<Recovered<FingerprintDb<String, PcDistance>>, DbIoError> {
-    load_with_fallback(path, |bytes| load_db(bytes))
+    load_with_fallback(path, load_db)
 }
 
 /// Loads an index from `path`, falling back to `<path>.bak` when the
@@ -732,7 +903,7 @@ pub fn load_db_from_path(
 ///
 /// The primary file's error when neither the primary nor the backup loads.
 pub fn load_index_from_path(path: &Path) -> Result<Recovered<LshIndex>, DbIoError> {
-    load_with_fallback(path, |bytes| load_index(bytes))
+    load_with_fallback(path, load_index)
 }
 
 #[cfg(test)]
@@ -975,9 +1146,22 @@ mod tests {
                 sealed("probable-cause-index 3\noph 2 2 1\nentries 3\nkeys 0 5,6\n"),
                 3,
             ),
+            // A count no file could back: refused, with nothing reserved
+            // for it.
+            (
+                sealed("probable-cause-index 3\noph 2 2 1\nentries 1000000000000\nkeys 0 5,6\nkeys 1 7,8\n"),
+                3,
+            ),
         ];
         for (data, line) in &cases {
             let err = load_index(Cursor::new(data.clone())).unwrap_err();
+            if data.windows(13).any(|w| w == b"1000000000000") {
+                assert_eq!(
+                    err.to_string(),
+                    "bad database format at line 3: entry count 1000000000000 \
+                     disagrees with the 2 keys lines"
+                );
+            }
             match err {
                 DbIoError::BadFormat { line: l, .. } => {
                     assert_eq!(
@@ -992,10 +1176,9 @@ mod tests {
         }
     }
 
-    /// The bitwise CRC-32 the lookup table replaced: the reference the table
-    /// must agree with.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFF_u32;
+    /// Folds `bytes` into a CRC-32 register one bit at a time: the
+    /// definition the lookup tables must agree with.
+    fn crc32_bitwise_update(mut crc: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             crc ^= u32::from(b);
             for _ in 0..8 {
@@ -1003,24 +1186,102 @@ mod tests {
                 crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             }
         }
-        !crc
+        crc
+    }
+
+    /// A fixed xorshift byte stream.
+    fn xorshift_bytes(len: usize) -> Vec<u8> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
     }
 
     #[test]
     fn table_crc32_matches_check_value_and_bitwise_reference() {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
-        // Every length up to 1 KiB, from a fixed xorshift stream.
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next_byte = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state as u8
+        // Every length up to 4 KiB at every start offset modulo 8, so each
+        // split between eight-byte steps and the byte-at-a-time tail is
+        // taken from every alignment.
+        let bytes = xorshift_bytes(4096 + 8);
+        for offset in 0..8 {
+            let mut reference = !0;
+            for len in 0..=4096 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), !reference, "offset {offset}, length {len}");
+                reference = crc32_bitwise_update(reference, &bytes[offset + len..][..1]);
+            }
+        }
+        // Folding in arbitrary pieces equals one pass.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..64 {
+            let mut crc = !0;
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let take = ((state >> 33) as usize % 40).min(rest.len());
+                crc = crc32_update(crc, &rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(!crc, crc32(&bytes));
+        }
+    }
+
+    #[test]
+    fn decimal_list_accepts_what_str_parse_accepts() {
+        let max = u64::MAX.to_string();
+        let over = "18446744073709551616";
+        let named = [
+            "", "+", "+0", "007", "-1", " 1", "1a", "++1", "+-1", &max, over,
+        ];
+        let mut tokens: Vec<String> = named.iter().map(|t| t.to_string()).collect();
+        // Random tokens over digits, signs, spaces and letters, up to 22
+        // characters so both sides of the overflow bound are drawn.
+        let alphabet = b"0123456789000999+- a";
+        let mut state = 0x853c_49e6_748f_ea9b_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
         };
-        for len in 0..1024 {
-            let bytes: Vec<u8> = (0..len).map(|_| next_byte()).collect();
-            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        for _ in 0..20_000 {
+            let len = next() % 23;
+            let digits_only = next() % 2 == 0;
+            tokens.push(
+                (0..len)
+                    .map(|_| {
+                        let pool = if digits_only { 10 } else { alphabet.len() };
+                        char::from(alphabet[next() % pool])
+                    })
+                    .collect(),
+            );
+        }
+        for token in &tokens {
+            let parsed: Vec<Option<u64>> = DecimalList::new(token).collect();
+            assert_eq!(parsed, vec![token.parse::<u64>().ok()], "token {token:?}");
+        }
+        // Lists: every token up to and including the first refused one.
+        for pair in tokens.chunks(3) {
+            let list = pair.join(",");
+            let mut expected = Vec::new();
+            for token in list.split(',') {
+                let parsed = token.parse::<u64>().ok();
+                expected.push(parsed);
+                if parsed.is_none() {
+                    break;
+                }
+            }
+            let parsed: Vec<Option<u64>> = DecimalList::new(&list).collect();
+            assert_eq!(parsed, expected, "list {list:?}");
         }
     }
 

@@ -459,8 +459,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
         Err(_) => return,
     };
     let (reply_tx, reply_rx) = mpsc::channel::<Outbound>();
-    let writer_tracer = Arc::clone(&shared.tracer);
-    let writer_thread = thread::spawn(move || write_loop(write_half, reply_rx, writer_tracer));
+    let writer_shared = Arc::clone(&shared);
+    let writer_thread = thread::spawn(move || write_loop(write_half, reply_rx, &writer_shared));
 
     let mut reader = BufReader::new(stream);
     loop {
@@ -545,24 +545,19 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
                     trace,
                 });
             }
+            // Answered empty and untraced here; the writer renders them
+            // (see `render_snapshot`).
             Request::Metrics => {
-                let response = apply_trace(&mut trace, Response::Metrics(shared.metrics()));
                 let _ = reply_tx.send(Outbound {
                     seq,
-                    response,
+                    response: Response::Metrics(MetricsBody::default()),
                     trace,
                 });
             }
             Request::TraceDump => {
-                let response = apply_trace(
-                    &mut trace,
-                    Response::TraceDump {
-                        traces: shared.trace_dump(),
-                    },
-                );
                 let _ = reply_tx.send(Outbound {
                     seq,
-                    response,
+                    response: Response::TraceDump { traces: Vec::new() },
                     trace,
                 });
             }
@@ -716,8 +711,25 @@ fn submit(shared: &Shared, reply: &mpsc::Sender<Outbound>, seq: u64, job: Job) {
     }
 }
 
-fn write_loop(stream: TcpStream, replies: mpsc::Receiver<Outbound>, tracer: Arc<Tracer>) {
-    while let Ok(out) = replies.recv() {
+/// Fills in a `metrics` or `trace-dump` answer, which only the reader sends
+/// and sends empty; every other reply passes through. The writer observes
+/// each reply's trace once its frame is on the socket, so a snapshot taken
+/// here covers every reply this connection's client has already received.
+fn render_snapshot(shared: &Shared, out: &mut Outbound) {
+    let response = match out.response {
+        Response::Metrics(_) => Response::Metrics(shared.metrics()),
+        Response::TraceDump { .. } => Response::TraceDump {
+            traces: shared.trace_dump(),
+        },
+        _ => return,
+    };
+    out.response = apply_trace(&mut out.trace, response);
+}
+
+fn write_loop(stream: TcpStream, replies: mpsc::Receiver<Outbound>, shared: &Shared) {
+    let tracer = &shared.tracer;
+    while let Ok(mut out) = replies.recv() {
+        render_snapshot(shared, &mut out);
         let Outbound {
             seq,
             response,

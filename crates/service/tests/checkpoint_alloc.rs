@@ -1,11 +1,16 @@
-//! Allocation discipline of a store checkpoint: `save_to_paths` streams the
-//! database and index images from the live entries straight into their
-//! files, so a checkpoint's peak heap does not grow with the store — no
-//! flat copy of the database, no in-memory image. The test runs alone in
-//! its own binary so the process-wide gauge sees only the checkpoint.
+//! Allocation discipline of a store checkpoint and of the open that reads
+//! it back. `save_to_paths` streams the database and index images from the
+//! live entries straight into their files, so a checkpoint's peak heap does
+//! not grow with the store — no flat copy of the database, no in-memory
+//! image. The loaders stream the images back line by line, so an open's
+//! peak heap is what the loaded database and index keep, not that plus the
+//! file. The test runs alone in its own binary so the process-wide gauge
+//! sees only the checkpoint and the open.
 
 use pc_service::store::{ShardedStore, StoreConfig};
-use probable_cause::persistence::{save_db_to_path, save_index_to_path};
+use probable_cause::persistence::{
+    load_db_from_path, load_index_from_path, save_db_to_path, save_index_to_path,
+};
 use probable_cause::{ErrorString, Fingerprint, FingerprintDb, PcDistance};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,7 +58,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GAUGE: Counting = Counting;
 
-/// The most one checkpoint may add to the live heap.
+/// The most one checkpoint may add to the live heap, and the most an open
+/// may hold at its peak beyond what it keeps.
 const BUDGET: usize = 1 << 20;
 
 /// Peak live heap above the starting level while `f` runs.
@@ -124,6 +130,22 @@ fn checkpoint_streams_without_copying_the_database() {
     assert!(
         std::fs::read(&index_path).unwrap() == std::fs::read(&ref_index).unwrap(),
         "index images differ"
+    );
+
+    // Opening the pair again holds no image beside what it builds.
+    let before = LIVE.load(Ordering::Relaxed);
+    let ((loaded_db, loaded_index), peak) = peak_growth(|| {
+        (
+            load_db_from_path(&db_path).unwrap().value,
+            load_index_from_path(&index_path).unwrap().value,
+        )
+    });
+    let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    assert_eq!((loaded_db.len(), loaded_index.len()), (2_000, 2_000));
+    assert!(
+        peak - kept < BUDGET,
+        "an open peaked {} bytes above the {kept} it keeps",
+        peak - kept
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

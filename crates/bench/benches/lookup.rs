@@ -1,7 +1,9 @@
 //! Identification-lookup benchmarks: Algorithm 2's linear scan vs the
-//! LSH-routed lookup (`identify_indexed`) at 100 / 1k / 10k stored chips —
-//! the serving-path speedup `pc-service` is built on. Index construction is
-//! benchmarked separately so the lookup numbers measure only the query path.
+//! LSH-routed lookup (`LshIndex::candidates`, then `closest_among` under the
+//! threshold, as the `pc-service` store routes) at 100 / 1k / 10k stored
+//! chips — the serving-path speedup `pc-service` is built on. Index
+//! construction is benchmarked separately so the lookup numbers measure only
+//! the query path.
 //!
 //! The `kernels` group compares batch scoring representations at the same
 //! scales: per-pair scalar merges over the sparse `Vec<u64>` strings versus
@@ -76,14 +78,20 @@ fn bench_lookup(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("linear", chips), &chips, |b, _| {
             b.iter(|| black_box(db.identify_with_distance(black_box(&probe))))
         });
+        let routed = |probe: &ErrorString| {
+            let ids: Vec<usize> = index
+                .candidates(probe)
+                .into_iter()
+                .map(|id| id as usize)
+                .collect();
+            db.closest_among(&ids, probe, Parallelism::single())
+                .filter(|&(_, d)| d < db.threshold())
+        };
         group.bench_with_input(BenchmarkId::new("lsh_indexed", chips), &chips, |b, _| {
-            b.iter(|| black_box(db.identify_indexed(black_box(&index), black_box(&probe))))
+            b.iter(|| black_box(routed(black_box(&probe))))
         });
         // Both paths agree before we trust either number.
-        assert_eq!(
-            db.identify_with_distance(&probe).map(|(l, _)| l.clone()),
-            db.identify_indexed(&index, &probe).map(|(l, _)| l.clone()),
-        );
+        assert_eq!(db.identify_with_distance(&probe), routed(&probe));
     }
     group.finish();
 }

@@ -53,6 +53,7 @@ impl<L> SupplyChainAttacker<L> {
     /// Characterizes an intercepted device (Algorithm 1): writes the
     /// worst-case pattern, collects `outputs` approximate readbacks, and
     /// stores the intersection of their error strings under `label`.
+    /// Returns the fingerprint it stored.
     ///
     /// # Errors
     ///
@@ -62,7 +63,7 @@ impl<L> SupplyChainAttacker<L> {
         label: L,
         memory: &mut ApproxMemory<M>,
         outputs: usize,
-    ) -> Result<&Fingerprint, CharacterizeError> {
+    ) -> Result<Fingerprint, CharacterizeError> {
         let data = memory.medium().worst_case_pattern();
         let size = data.len() as u64 * 8;
         let observations: Vec<ErrorString> = (0..outputs)
@@ -72,8 +73,8 @@ impl<L> SupplyChainAttacker<L> {
             })
             .collect();
         let fp = characterize(&observations)?;
-        self.db.insert(label, fp);
-        Ok(self.db.iter().last().expect("just inserted").1)
+        self.db.insert(label, fp.clone());
+        Ok(fp)
     }
 
     /// Inserts an externally built fingerprint (e.g. characterized from a

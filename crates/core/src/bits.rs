@@ -21,6 +21,12 @@ pub enum BitStringError {
         /// Right size in bits.
         right: u64,
     },
+    /// A bit position is at or beyond [`ErrorString::MAX_BITS`], past what
+    /// the packed form a database stores can address.
+    Unaddressable {
+        /// The offending bit position.
+        bit: u64,
+    },
 }
 
 impl fmt::Display for BitStringError {
@@ -32,6 +38,9 @@ impl fmt::Display for BitStringError {
             BitStringError::NotSorted => write!(f, "bit positions must be strictly ascending"),
             BitStringError::SizeMismatch { left, right } => {
                 write!(f, "size mismatch: {left} bits vs {right} bits")
+            }
+            BitStringError::Unaddressable { bit } => {
+                write!(f, "bit {bit} is beyond the 2^47-bit packed range")
             }
         }
     }
@@ -65,18 +74,20 @@ pub struct ErrorString {
 }
 
 impl ErrorString {
+    /// Every position lies below this bound: the packed form
+    /// ([`pc_kernels::PackedErrors`]) addresses 2^32 blocks of
+    /// [`pc_kernels::BLOCK_BITS`] bits, 2^47 bits (16 TiB) in all.
+    pub const MAX_BITS: u64 = pc_kernels::BLOCK_BITS << 32;
+
     /// Creates an error string from strictly ascending bit positions.
     ///
     /// # Errors
     ///
     /// [`BitStringError::NotSorted`] if positions are not strictly ascending;
-    /// [`BitStringError::OutOfRange`] if any position is `>= size`.
+    /// [`BitStringError::OutOfRange`] if any position is `>= size`;
+    /// [`BitStringError::Unaddressable`] if any is `>= MAX_BITS`.
     pub fn from_sorted(bits: Vec<u64>, size: u64) -> Result<Self, BitStringError> {
-        if let Some(&last) = bits.last() {
-            if last >= size {
-                return Err(BitStringError::OutOfRange { bit: last, size });
-            }
-        }
+        check_last(&bits, size)?;
         if bits.windows(2).any(|w| w[0] >= w[1]) {
             return Err(BitStringError::NotSorted);
         }
@@ -88,17 +99,14 @@ impl ErrorString {
     ///
     /// # Errors
     ///
-    /// [`BitStringError::OutOfRange`] if any position is `>= size`.
+    /// [`BitStringError::OutOfRange`] if any position is `>= size`;
+    /// [`BitStringError::Unaddressable`] if any is `>= MAX_BITS`.
     pub fn from_unsorted(mut bits: Vec<u64>, size: u64) -> Result<Self, BitStringError> {
         bits.sort_unstable();
         bits.dedup();
         // Sorting and deduping just established strict ascent; only the
-        // range bound still needs checking.
-        if let Some(&last) = bits.last() {
-            if last >= size {
-                return Err(BitStringError::OutOfRange { bit: last, size });
-            }
-        }
+        // range bounds still need checking.
+        check_last(&bits, size)?;
         Ok(Self::from_sorted_unchecked(bits, size))
     }
 
@@ -115,9 +123,14 @@ impl ErrorString {
     ///
     /// # Panics
     ///
-    /// Panics if the buffers have different lengths.
+    /// Panics if the buffers have different lengths, or hold more than
+    /// [`ErrorString::MAX_BITS`] bits.
     pub fn from_xor(approx: &[u8], exact: &[u8]) -> Self {
         assert_eq!(approx.len(), exact.len(), "buffers must have equal length");
+        assert!(
+            approx.len() as u64 <= Self::MAX_BITS / 8,
+            "buffers too large to pack"
+        );
         // A popcount pass sizes the vector exactly, so the fill loop never
         // reallocates (outputs are megabytes; doubling-growth was measurable).
         let weight: usize = approx
@@ -286,6 +299,14 @@ impl ErrorString {
         pc_kernels::PackedErrors::from_positions(&self.bits, self.size)
     }
 
+    /// The error string `packed` was packed from:
+    /// `ErrorString::from_packed(&s.to_packed()) == s` for every `s`, since
+    /// every constructor keeps positions below [`ErrorString::MAX_BITS`].
+    pub fn from_packed(packed: &pc_kernels::PackedErrors) -> Self {
+        // A packed string keeps its size and yields ascending in-range bits.
+        Self::from_sorted_unchecked(packed.positions(), packed.size())
+    }
+
     /// Returns a copy restricted to positions in `[lo, hi)`, rebased to start
     /// at 0 with size `hi - lo` (used to slice chip-level strings into
     /// page-level ones).
@@ -333,6 +354,16 @@ impl ErrorString {
                 right: other.size,
             })
         }
+    }
+}
+
+/// Checks the last (largest) of ascending `bits` against `size` and
+/// [`ErrorString::MAX_BITS`].
+fn check_last(bits: &[u64], size: u64) -> Result<(), BitStringError> {
+    match bits.last() {
+        Some(&bit) if bit >= size => Err(BitStringError::OutOfRange { bit, size }),
+        Some(&bit) if bit >= ErrorString::MAX_BITS => Err(BitStringError::Unaddressable { bit }),
+        _ => Ok(()),
     }
 }
 

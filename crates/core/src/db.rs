@@ -9,7 +9,10 @@ use std::sync::Arc;
 /// A database of labelled device fingerprints with threshold identification —
 /// **Algorithm 2**.
 ///
-/// Labels are generic: chip serials, user handles, machine names.
+/// Labels are generic: chip serials, user handles, machine names. Each
+/// fingerprint is stored once, packed, and scored in that form;
+/// [`entry`](FingerprintDb::entry) and [`iter`](FingerprintDb::iter) unpack
+/// owned copies.
 ///
 /// # Example
 ///
@@ -27,9 +30,10 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FingerprintDb<L, M = crate::PcDistance> {
-    entries: Vec<(L, Fingerprint)>,
-    /// Packed mirror of `entries` (same order), built on insert so every
-    /// lookup can take the popcount kernels without re-packing.
+    /// Each entry's label and observation count, in insertion order.
+    entries: Vec<(L, u32)>,
+    /// Each entry's error string, packed, in the same order: the one stored
+    /// copy, which every lookup scores with the popcount kernels.
     packed: Vec<PackedErrors>,
     metric: M,
     threshold: f64,
@@ -75,45 +79,54 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
         self.entries.is_empty()
     }
 
-    /// Adds a labelled fingerprint.
+    /// Adds a labelled fingerprint; its positions are stored packed.
     pub fn insert(&mut self, label: L, fingerprint: Fingerprint) {
         self.packed.push(fingerprint.errors().to_packed());
-        self.entries.push((label, fingerprint));
+        self.entries.push((label, fingerprint.observations()));
     }
 
     /// Replaces the fingerprint of entry `id` in place, keeping its label
-    /// and re-packing its mirror. Returns the previous fingerprint, or
-    /// `None` (changing nothing) when `id` does not exist.
-    pub fn replace(&mut self, id: usize, fingerprint: Fingerprint) -> Option<Fingerprint> {
-        let (entry, packed) = (self.entries.get_mut(id)?, self.packed.get_mut(id)?);
-        *packed = fingerprint.errors().to_packed();
-        Some(std::mem::replace(&mut entry.1, fingerprint))
+    /// and re-packing its error string. Returns whether `id` exists; when
+    /// it does not, nothing changes.
+    pub fn replace(&mut self, id: usize, fingerprint: Fingerprint) -> bool {
+        let exists = id < self.len();
+        if exists {
+            self.entries[id].1 = fingerprint.observations();
+            self.packed[id] = fingerprint.errors().to_packed();
+        }
+        exists
     }
 
     /// Iterates over `(label, fingerprint)` entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&L, &Fingerprint)> {
-        self.entries.iter().map(|(l, f)| (l, f))
+    pub fn iter(&self) -> impl Iterator<Item = (&L, Fingerprint)> {
+        (0..self.len()).filter_map(|id| self.entry(id))
     }
 
-    /// The entry with insertion-order id `id`, if it exists. Ids are the
-    /// coordinates [`LshIndex`] candidates are expressed in.
-    pub fn entry(&self, id: usize) -> Option<(&L, &Fingerprint)> {
-        self.entries.get(id).map(|(l, f)| (l, f))
+    /// The entry with insertion-order id `id`, if it exists, unpacked. Ids
+    /// are the coordinates [`LshIndex`] candidates are expressed in.
+    pub fn entry(&self, id: usize) -> Option<(&L, Fingerprint)> {
+        let (label, observations) = self.entries.get(id)?;
+        let errors = ErrorString::from_packed(&self.packed[id]);
+        Some((label, Fingerprint::from_parts(errors, *observations)))
+    }
+
+    /// The labels in insertion order; nothing is unpacked.
+    pub fn labels(&self) -> impl Iterator<Item = &L> {
+        self.entries.iter().map(|(label, _)| label)
     }
 
     /// Builds an [`LshIndex`] over every stored fingerprint (entry id =
-    /// insertion order), for [`FingerprintDb::identify_indexed`]. Entries
-    /// are signed on the kernel pool; the index does not depend on the
-    /// thread count.
+    /// insertion order), unpacking and signing each on the kernel pool; the
+    /// index does not depend on the thread count.
     pub fn build_index(&self, bands: usize, rows_per_band: usize, seed: u64) -> LshIndex {
-        // The signing tasks borrow only the sets, so labels need not be `Sync`.
-        let sets: Vec<&ErrorString> = self.entries.iter().map(|(_, fp)| fp.errors()).collect();
+        // The tasks borrow only the packed strings: labels need not be `Sync`.
+        let packed = &self.packed;
         LshIndex::build(
             bands,
             rows_per_band,
             seed,
-            sets.len(),
-            |id| sets[id],
+            packed.len(),
+            |id| ErrorString::from_packed(&packed[id]),
             Parallelism::auto(),
         )
     }
@@ -135,7 +148,6 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
                 )
             }
             None => self
-                .entries
                 .iter()
                 .map(|(_, fp)| self.metric.distance(fp.errors(), error_string))
                 .collect(),
@@ -159,7 +171,7 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
                 .iter()
                 .map(|&id| {
                     self.metric
-                        .distance(self.entries[id].1.errors(), error_string)
+                        .distance(&ErrorString::from_packed(&self.packed[id]), error_string)
                 })
                 .collect(),
         }
@@ -183,42 +195,12 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let _span = pc_telemetry::time!("core.db.identify");
         pc_telemetry::counter!("core.db.identify.comparisons").add(self.entries.len() as u64);
         let hit = self
-            .best_of(0..self.entries.len(), error_string)
+            .identify_best(error_string)
             .filter(|&(_, d)| d < self.threshold);
         if hit.is_some() {
             pc_telemetry::counter!("core.db.identify.hits").incr();
         } else {
             pc_telemetry::counter!("core.db.identify.misses").incr();
-        }
-        hit
-    }
-
-    /// Index-pruned **Algorithm 2**: like
-    /// [`identify_with_distance`](FingerprintDb::identify_with_distance) but
-    /// paying full distance computation only for `index` candidates, with
-    /// the same deterministic tie-break over that candidate set.
-    ///
-    /// The caller is responsible for keeping `index` in sync with this
-    /// database (same entry ids). A true match the index fails to shortlist
-    /// is reported as a miss — that false-negative probability is set by the
-    /// index's band/row parameters (see [`LshIndex`]).
-    pub fn identify_indexed(
-        &self,
-        index: &LshIndex,
-        error_string: &ErrorString,
-    ) -> Option<(&L, f64)> {
-        let _span = pc_telemetry::time!("core.db.identify_indexed");
-        let candidates = index.candidates(error_string);
-        pc_telemetry::counter!("core.db.identify_indexed.comparisons").add(candidates.len() as u64);
-        pc_telemetry::counter!("core.db.identify_indexed.pruned")
-            .add(self.entries.len().saturating_sub(candidates.len()) as u64);
-        let hit = self
-            .best_of(candidates.into_iter().map(|c| c as usize), error_string)
-            .filter(|&(_, d)| d < self.threshold);
-        if hit.is_some() {
-            pc_telemetry::counter!("core.db.identify_indexed.hits").incr();
-        } else {
-            pc_telemetry::counter!("core.db.identify_indexed.misses").incr();
         }
         hit
     }
@@ -229,7 +211,8 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
     /// Distance ties break by label order, like
     /// [`identify`](FingerprintDb::identify).
     pub fn identify_best(&self, error_string: &ErrorString) -> Option<(&L, f64)> {
-        self.best_of(0..self.entries.len(), error_string)
+        let all: Vec<usize> = (0..self.entries.len()).collect();
+        self.closest_among(&all, error_string, Parallelism::single())
     }
 
     /// Identifies every probe: `out[i]` is what
@@ -275,16 +258,6 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         pc_telemetry::counter!("core.db.identify.hits").add(hits);
         pc_telemetry::counter!("core.db.identify.misses").add(probes.len() as u64 - hits);
         results
-    }
-
-    /// The lowest-distance entry among `ids`, ties broken by label order.
-    fn best_of(
-        &self,
-        ids: impl Iterator<Item = usize>,
-        error_string: &ErrorString,
-    ) -> Option<(&L, f64)> {
-        let ids: Vec<usize> = ids.collect();
-        self.closest_among(&ids, error_string, Parallelism::single())
     }
 
     /// The entry among `ids` closest to `error_string`, regardless of
@@ -362,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn identify_indexed_agrees_with_linear_scan() {
+    fn index_routed_identify_agrees_with_linear_scan() {
         let mut db = FingerprintDb::new(PcDistance::new(), 0.5);
         for chip in 0..16u32 {
             let bits: Vec<u64> = (0..8).map(|i| chip as u64 * 8 + i).collect();
@@ -372,8 +345,14 @@ mod tests {
         for chip in 0..16u32 {
             let bits: Vec<u64> = (0..8).map(|i| chip as u64 * 8 + i).collect();
             let probe = es(&bits);
+            let ids: Vec<usize> = index
+                .candidates(&probe)
+                .iter()
+                .map(|&id| id as usize)
+                .collect();
+            let routed = db.closest_among(&ids, &probe, Parallelism::single());
             assert_eq!(
-                db.identify_indexed(&index, &probe),
+                routed.filter(|&(_, d)| d < db.threshold()),
                 db.identify_with_distance(&probe),
                 "chip {chip}"
             );
@@ -400,17 +379,18 @@ mod tests {
     }
 
     #[test]
-    fn replace_keeps_the_packed_mirror_in_step() {
+    fn replace_rewrites_the_stored_fingerprint() {
         let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
         db.insert("a", fp(&[1, 2, 3, 4]));
         db.insert("b", fp(&[50, 60, 70, 80]));
-        let old = db.replace(1, fp(&[10, 11, 12, 13])).unwrap();
-        assert_eq!(old, fp(&[50, 60, 70, 80]));
-        assert_eq!(db.entry(1).unwrap(), (&"b", &fp(&[10, 11, 12, 13])));
-        // Scoring reads the mirror: the new bits match, the old ones no longer do.
+        let refined = Fingerprint::from_parts(es(&[10, 11, 12, 13]), 3);
+        assert!(db.replace(1, refined.clone()));
+        assert_eq!(db.entry(1).unwrap(), (&"b", refined));
+        // Scoring reads the stored form: the new bits match, the old ones no
+        // longer do.
         assert_eq!(db.identify(&es(&[10, 11, 12, 13])), Some(&"b"));
         assert_eq!(db.identify(&es(&[50, 60, 70, 80])), None);
-        assert_eq!(db.replace(2, fp(&[1])), None);
+        assert!(!db.replace(2, fp(&[1])));
         assert_eq!(db.len(), 2);
     }
 

@@ -267,15 +267,15 @@ impl LshIndex {
         index
     }
 
-    /// Signs `n` sets, where `set(i)` is the one for id `i`, on the kernel
-    /// pool into a new index over ids `0..n`. The result does not depend on
-    /// the thread count.
-    pub(crate) fn build<'a>(
+    /// Signs `n` sets, where `set(i)` builds the one for id `i`, on the
+    /// kernel pool into a new index over ids `0..n`. The result does not
+    /// depend on the thread count.
+    pub(crate) fn build(
         bands: usize,
         rows_per_band: usize,
         seed: u64,
         n: usize,
-        set: impl Fn(usize) -> &'a ErrorString + Sync,
+        set: impl Fn(usize) -> ErrorString + Sync,
         par: Parallelism,
     ) -> Self {
         let signer = Self::new(bands, rows_per_band, seed);
@@ -283,7 +283,7 @@ impl LshIndex {
             let ids = c * BUILD_CHUNK..n.min((c + 1) * BUILD_CHUNK);
             let mut keys = Vec::with_capacity(ids.len() * bands);
             for id in ids {
-                keys.extend(signer.band_keys(set(id)));
+                keys.extend(signer.band_keys(&set(id)));
             }
             keys
         });
@@ -576,7 +576,7 @@ mod tests {
                 4,
                 11,
                 sets.len(),
-                |i| &sets[i],
+                |i| sets[i].clone(),
                 Parallelism::new(threads),
             );
             let mut buf = Vec::new();
@@ -624,7 +624,7 @@ mod tests {
         // Built at the full load factor, so probe runs are long enough that
         // a remove-and-refile would move slots.
         let sets: Vec<ErrorString> = (0..64).map(chip).collect();
-        let mut idx = LshIndex::build(16, 4, 9, 64, |i| &sets[i], Parallelism::single());
+        let mut idx = LshIndex::build(16, 4, 9, 64, |i| sets[i].clone(), Parallelism::single());
         let capacity = idx.table.len();
         let layout = idx.table.clone();
         // Refines that keep every band key touch nothing, checked after each

@@ -1032,10 +1032,14 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unsorted_positions() {
-        let data = sealed("probable-cause-db 2\nthreshold 0.2\nfp x 64 1 5,3\n");
-        let err = load_db(Cursor::new(data)).unwrap_err();
-        assert!(matches!(err, DbIoError::BadFormat { line: 3, .. }));
+    fn rejects_bad_positions() {
+        // Unsorted; then position 2^47 + 1 of a 2^48-bit string, sorted and
+        // below the size but beyond what the stored packed form addresses.
+        for fp in ["fp x 64 1 5,3", "fp x 281474976710656 1 5,140737488355329"] {
+            let data = sealed(&format!("probable-cause-db 2\nthreshold 0.2\n{fp}\n"));
+            let err = load_db(Cursor::new(data)).unwrap_err();
+            assert!(matches!(err, DbIoError::BadFormat { line: 3, .. }), "{fp}");
+        }
     }
 
     #[test]

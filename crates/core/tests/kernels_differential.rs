@@ -8,8 +8,8 @@
 use pc_stats::CellHasher;
 use probable_cause::batch::{distance_pairs, score_batch, score_batch_with};
 use probable_cause::{
-    DistanceMetric, ErrorString, Fingerprint, FingerprintDb, HammingDistance, JaccardDistance,
-    Parallelism, PcDistance,
+    BitStringError, DistanceMetric, ErrorString, Fingerprint, FingerprintDb, HammingDistance,
+    JaccardDistance, Parallelism, PcDistance,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -53,6 +53,10 @@ proptest! {
         let a = es_with(seed_a, da, pages);
         let b = es_with(seed_b, db, pages);
         let (pa, pb) = (a.to_packed(), b.to_packed());
+        // Unpacking gives back exactly what was packed: the database stores
+        // only the packed form and rebuilds positions from it.
+        prop_assert_eq!(&ErrorString::from_packed(&pa), &a);
+        prop_assert_eq!(&ErrorString::from_packed(&pb), &b);
         let (sa, sb) = (set(&a), set(&b));
         prop_assert_eq!(pa.intersect_count(&pb), sa.intersection(&sb).count() as u64);
         prop_assert_eq!(pa.difference_count(&pb), sa.difference(&sb).count() as u64);
@@ -158,6 +162,7 @@ proptest! {
 fn empty_strings_agree_on_both_paths() {
     let empty = ErrorString::empty(PAGE);
     let some = es_with(11, 30, PAGE);
+    assert_eq!(ErrorString::from_packed(&empty.to_packed()), empty);
     for m in &metrics() {
         for (a, b) in [(&empty, &empty), (&empty, &some), (&some, &empty)] {
             assert_eq!(
@@ -193,5 +198,61 @@ fn identify_batch_matches_identify_for_every_thread_count() {
             .map(|hit| hit.map(|(l, d)| (l.clone(), d)))
             .collect();
         assert_eq!(got, reference, "threads={threads}");
+    }
+}
+
+#[test]
+fn positions_past_the_packed_range_are_refused() {
+    // A 2^48-bit string: its size may exceed MAX_BITS, its positions not.
+    let size = 1 << 48;
+    let max = ErrorString::MAX_BITS;
+    assert_eq!(max, 1 << 47);
+    for bad in [max, max + 1] {
+        let refused = Err(BitStringError::Unaddressable { bit: bad });
+        assert_eq!(ErrorString::from_sorted(vec![5, bad], size), refused);
+        assert_eq!(ErrorString::from_unsorted(vec![bad, 5], size), refused);
+    }
+    // The last addressable position, in the last block, round-trips.
+    let edge = ErrorString::from_sorted(vec![5, max - 1], size).unwrap();
+    assert_eq!(ErrorString::from_packed(&edge.to_packed()), edge);
+}
+
+/// The paper's metric without its packed form, so a database using it
+/// scores through the scalar fallback over unpacked entries.
+struct UnpackedPc(PcDistance);
+
+impl DistanceMetric for UnpackedPc {
+    fn distance(&self, fingerprint: &ErrorString, error_string: &ErrorString) -> f64 {
+        self.0.distance(fingerprint, error_string)
+    }
+    fn name(&self) -> &'static str {
+        "pc-unpacked"
+    }
+}
+
+#[test]
+fn unpacked_fallback_scores_like_the_packed_path() {
+    let size = 3 * PAGE + 1_000;
+    let mut packed = FingerprintDb::new(PcDistance::new(), 0.3);
+    let mut unpacked = FingerprintDb::new(UnpackedPc(PcDistance::new()), 0.3);
+    for c in 0..40u64 {
+        // Sparse to dense blocks, across block seams.
+        let fp = Fingerprint::from_observation(es_with(c + 1, 10 + c * 3, size));
+        packed.insert(c, fp.clone());
+        unpacked.insert(c, fp);
+    }
+    let ids: Vec<usize> = (0..40).rev().collect();
+    let single = Parallelism::single();
+    for p in 0..10u64 {
+        let probe = es_with(p % 5 + 1, 10 + p * 14, size);
+        assert_eq!(unpacked.distances(&probe), packed.distances(&probe));
+        assert_eq!(
+            unpacked.identify_with_distance(&probe),
+            packed.identify_with_distance(&probe)
+        );
+        assert_eq!(
+            unpacked.closest_among(&ids, &probe, single),
+            packed.closest_among(&ids, &probe, single)
+        );
     }
 }

@@ -55,6 +55,12 @@ proptest! {
             prop_assert_eq!(la, lb);
             prop_assert_eq!(fa, fb);
         }
+        // Both sides above are unpacked from the stored form, so also check
+        // that the database gives back what was inserted.
+        for ((l, fp), (label, b, o)) in db.iter().zip(&entries) {
+            prop_assert_eq!(l, label);
+            prop_assert_eq!(fp, Fingerprint::from_parts(es(b), *o));
+        }
     }
 
     #[test]

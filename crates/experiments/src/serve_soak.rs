@@ -16,7 +16,7 @@ use pc_service::protocol::{Request, Response};
 use pc_service::server::{self, ServerConfig};
 use pc_service::store::StoreConfig;
 use pc_service::ServiceClient;
-use probable_cause::ErrorString;
+use probable_cause::{persistence, ErrorString};
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -63,9 +63,12 @@ pub fn run(out: &Path) -> io::Result<String> {
     let dir = artifact_dir(out, "serve_soak")?;
     let db_path = dir.join("db.txt");
     let index_path = dir.join("index.txt");
-    // A fresh soak every run: stale state would skew the accounting.
-    let _ = std::fs::remove_file(&db_path);
-    let _ = std::fs::remove_file(&index_path);
+    // A fresh soak every run: stale state would skew the accounting, and
+    // the loader falls back to a backup when the primary is missing.
+    for path in [&db_path, &index_path] {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(persistence::bak_path(path));
+    }
 
     let config = ServerConfig {
         store: StoreConfig {

@@ -1167,6 +1167,8 @@ mod tests {
             r#"{"seq":1,"op":"identify","positions":[1]}"#, // no size
             r#"{"seq":1,"op":"identify","size":64,"positions":[9,3]}"#, // unsorted
             r#"{"seq":1,"op":"identify","size":4,"positions":[9]}"#, // out of range
+            // Below the size, but past the 2^47 bits packed form addresses.
+            r#"{"seq":1,"op":"identify","size":281474976710656,"positions":[140737488355328]}"#,
             r#"{"seq":1,"op":"characterize","size":64,"positions":[1]}"#, // no label
         ] {
             let v = pc_telemetry::parse_json(bad).unwrap();

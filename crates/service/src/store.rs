@@ -108,7 +108,7 @@ const SAVE_BATCH: usize = 64;
 #[derive(Debug)]
 pub struct ShardedStore {
     config: StoreConfig,
-    /// Every fingerprint (id = insertion order) with its packed mirror.
+    /// Every fingerprint (id = insertion order), stored packed.
     db: RwLock<FingerprintDb<String, PcDistance>>,
     index: RwLock<LshIndex>,
     /// label → entry id. Held across every `characterize` and every index
@@ -166,9 +166,9 @@ impl ShardedStore {
             }
         };
         let labels = db
-            .iter()
+            .labels()
             .enumerate()
-            .map(|(id, (label, _))| (label.clone(), id as u32))
+            .map(|(id, label)| (label.clone(), id as u32))
             .collect();
         // `PcDistance` always has a packed form; the fallback only keeps
         // this path panic-free.
@@ -480,7 +480,7 @@ impl ShardedStore {
         let batches = (0..n).step_by(SAVE_BATCH).map(|start| {
             let db = self.db.read();
             (start..n.min(start + SAVE_BATCH))
-                .filter_map(|id| db.entry(id).map(|(l, fp)| (l.clone(), fp.clone())))
+                .filter_map(|id| db.entry(id).map(|(l, fp)| (l.clone(), fp)))
                 .collect::<Vec<_>>()
         });
         persistence::write_db_image(w, self.config.threshold, batches.flatten())

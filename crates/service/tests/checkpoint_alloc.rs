@@ -2,10 +2,12 @@
 //! it back. `save_to_paths` streams the database and index images from the
 //! live entries straight into their files, so a checkpoint's peak heap does
 //! not grow with the store — no flat copy of the database, no in-memory
-//! image. The loaders stream the images back line by line, so an open's
-//! peak heap is what the loaded database and index keep, not that plus the
-//! file. The test runs alone in its own binary so the process-wide gauge
-//! sees only the checkpoint and the open.
+//! image. The database keeps each fingerprint once, packed, so a loaded
+//! database holds under 4 bytes per stored error bit, where a second copy
+//! of the positions would cost 8 more. The loaders stream the images back
+//! line by line, so an open's peak heap is what the loaded database and
+//! index keep, not that plus the file. The test runs alone in its own
+//! binary so the process-wide gauge sees only the checkpoint and the open.
 
 use pc_service::store::{ShardedStore, StoreConfig};
 use probable_cause::persistence::{
@@ -70,12 +72,15 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
 }
 
-/// `chips` fingerprints of 328 error bits in a 32 768-bit page, one bit per
-/// 99-bit stripe so every chip's bits ascend.
+/// Error bits per stored fingerprint.
+const BITS: u64 = 328;
+
+/// `chips` fingerprints of [`BITS`] error bits in a 32 768-bit page, one
+/// bit per 99-bit stripe so every chip's bits ascend.
 fn fleet(chips: u64) -> FingerprintDb<String, PcDistance> {
     let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
     for chip in 0..chips {
-        let bits = (0..328)
+        let bits = (0..BITS)
             .map(|i| i * 99 + (chip * 31 + i * i) % 99)
             .collect();
         let errors = ErrorString::from_sorted(bits, 32_768).unwrap();
@@ -131,6 +136,18 @@ fn checkpoint_streams_without_copying_the_database() {
         std::fs::read(&index_path).unwrap() == std::fs::read(&ref_index).unwrap(),
         "index images differ"
     );
+
+    // The database alone keeps one packed copy of each fingerprint.
+    let before = LIVE.load(Ordering::Relaxed);
+    let loaded_db = load_db_from_path(&db_path).unwrap().value;
+    let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let stored_bits = loaded_db.len() * BITS as usize;
+    assert_eq!(loaded_db.len(), 2_000);
+    assert!(
+        kept < 4 * stored_bits,
+        "a loaded database keeps {kept} bytes for {stored_bits} error bits"
+    );
+    drop(loaded_db);
 
     // Opening the pair again holds no image beside what it builds.
     let before = LIVE.load(Ordering::Relaxed);

@@ -1,9 +1,11 @@
-//! The pruning acceptance check, alone in its own process so the global
-//! telemetry counters it asserts on are not polluted by other tests:
-//! against a 1000-chip database, index-routed identification must pay at
-//! least 5× fewer full distance evaluations than the linear scan while
-//! returning identical results.
+//! The pruning acceptance check on the path `pc serve` runs, alone in its
+//! own process so the global telemetry counters it asserts on are not
+//! polluted by other tests: against a 1000-chip database, a store routing
+//! identifies through its LSH index must pay at least 5× fewer full
+//! distance evaluations than the linear scan while returning identical
+//! results.
 
+use pc_service::store::{ShardedStore, StoreConfig};
 use probable_cause::{ErrorString, Fingerprint, FingerprintDb, PcDistance};
 
 const SIZE: u64 = 65_536;
@@ -29,7 +31,7 @@ fn probe_of(c: u64) -> ErrorString {
 }
 
 #[test]
-fn indexed_identify_prunes_at_least_5x_with_identical_results() {
+fn routed_identify_prunes_at_least_5x_with_identical_results() {
     let collector = pc_telemetry::install();
 
     let mut db = FingerprintDb::new(PcDistance::new(), 0.3);
@@ -39,7 +41,9 @@ fn indexed_identify_prunes_at_least_5x_with_identical_results() {
             Fingerprint::from_observation(es(chip_bits(c))),
         );
     }
-    let index = db.build_index(16, 4, 0x5eed);
+    // No index: the store signs one at open with the serving banding, as a
+    // server given none does.
+    let store = ShardedStore::open(StoreConfig::default(), db.clone(), None);
 
     let at = |name: &str| {
         collector
@@ -49,18 +53,16 @@ fn indexed_identify_prunes_at_least_5x_with_identical_results() {
             .unwrap_or(0)
     };
     let linear_before = at("core.db.identify.comparisons");
-    let indexed_before = at("core.db.identify_indexed.comparisons");
+    let routed_before = store.distance_evals();
 
     for c in 0..PROBES {
         let probe = probe_of(c);
         let linear = db
             .identify_with_distance(&probe)
             .map(|(l, d)| (l.clone(), d));
-        let indexed = db
-            .identify_indexed(&index, &probe)
-            .map(|(l, d)| (l.clone(), d));
+        let routed = store.identify(&probe).unwrap().ok();
         assert_eq!(
-            linear, indexed,
+            linear, routed,
             "probe {c}: pruning must not change the answer"
         );
         assert_eq!(
@@ -71,16 +73,16 @@ fn indexed_identify_prunes_at_least_5x_with_identical_results() {
     }
 
     let linear_evals = at("core.db.identify.comparisons") - linear_before;
-    let indexed_evals = at("core.db.identify_indexed.comparisons") - indexed_before;
+    let routed_evals = store.distance_evals() - routed_before;
     assert_eq!(
         linear_evals,
         CHIPS * PROBES,
         "the linear scan pays one distance per stored chip"
     );
-    assert!(indexed_evals > 0, "the index must shortlist the true chip");
+    assert!(routed_evals > 0, "the index must shortlist the true chip");
     assert!(
-        linear_evals >= 5 * indexed_evals,
-        "indexed identify must pay >=5x fewer distance evaluations: \
-         linear {linear_evals} vs indexed {indexed_evals}"
+        linear_evals >= 5 * routed_evals,
+        "routed identify must pay >=5x fewer distance evaluations: \
+         linear {linear_evals} vs routed {routed_evals}"
     );
 }

@@ -264,6 +264,56 @@ fn restart_restores_the_persisted_index_byte_identically() {
 }
 
 #[test]
+fn unaddressable_positions_are_refused_and_never_saved() {
+    let dir = std::env::temp_dir().join(format!("pc-service-unaddressable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db_path = dir.join("db.txt");
+    let config = ServerConfig {
+        db_path: Some(db_path.clone()),
+        ..test_config()
+    };
+    let handle = server::start(config).unwrap();
+    let mut client = ServiceClient::connect(handle.local_addr()).unwrap();
+    populate(&mut client, 3);
+    let save = |client: &mut ServiceClient| {
+        let resp = client.call(&Request::Save).unwrap();
+        assert_eq!(resp, Response::Saved { fingerprints: 3 });
+    };
+    save(&mut client);
+    let saved = std::fs::read(&db_path).unwrap();
+
+    // Position 2^47 + 1 of a 2^48-bit string, for a new label and for a
+    // refine of an enrolled one: sorted and below the size, but beyond what
+    // the stored packed form addresses.
+    use std::io::Write;
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    for label in ["chip-far", "chip-000"] {
+        let payload = format!(
+            r#"{{"seq":9,"op":"characterize","label":"{label}","size":281474976710656,"positions":[5,140737488355329]}}"#
+        );
+        raw.write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        raw.write_all(payload.as_bytes()).unwrap();
+        let frame = pc_service::read_frame(&mut reader, pc_service::MAX_FRAME_BYTES).unwrap();
+        let (_, resp) = pc_service::decode_response(&frame).unwrap();
+        assert!(
+            matches!(resp, Response::Error { .. }),
+            "{label}: got {resp:?}"
+        );
+    }
+    assert_eq!(handle.store().len(), 3);
+
+    // Two more checkpoints (the second rotates the first into the backup)
+    // and the shutdown save all write the bytes saved before the refusals.
+    save(&mut client);
+    save(&mut client);
+    handle.shutdown_and_wait().unwrap();
+    assert_eq!(std::fs::read(&db_path).unwrap(), saved);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn traced_requests_report_consistent_stage_breakdowns() {
     let handle = server::start(test_config()).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr()).unwrap();

@@ -19,10 +19,6 @@ pub const COUNTERS: &[&str] = &[
     "core.db.identify.comparisons",
     "core.db.identify.hits",
     "core.db.identify.misses",
-    "core.db.identify_indexed.comparisons",
-    "core.db.identify_indexed.hits",
-    "core.db.identify_indexed.misses",
-    "core.db.identify_indexed.pruned",
     "core.distance.hamming",
     "core.distance.jaccard",
     "core.distance.pc",
@@ -106,7 +102,6 @@ pub const SPANS: &[&str] = &[
     "core.cluster",
     "core.db.identify",
     "core.db.identify_batch",
-    "core.db.identify_indexed",
     "core.index.candidates",
     "core.index.insert",
     "core.minhash.signature",

@@ -20,8 +20,6 @@
 //!   equal to per-pair scalar scoring;
 //! - `tracing_overhead_ok` — disabled request tracing costs at most 1% on a
 //!   10k-chip identify;
-//! - `minhash_matches_scalar` — every MinHash signing tier this machine
-//!   supports gives the scalar tier's lanes, bit for bit;
 //! - `cluster_scan_matches_pairwise` — Algorithm 4's first-match scan
 //!   (`first_within`) finds the same cluster after the same number of
 //!   comparisons as a `distance_packed` loop, for every built-in metric.
@@ -29,10 +27,7 @@
 //! It also times the identify plan stage against a 10k-chip
 //! `build_index(16, 4, 0x5eed)`: `index_candidates_ns` is the median
 //! `LshIndex::candidates` call for noisy 328-bit outputs of stored chips,
-//! and `index_build_ns` the index build per entry. It times the stitcher's
-//! MinHash signing of one 328-bit probe at 16 bands × 4 rows:
-//! `minhash_scalar_ns` on the scalar tier and `minhash_ns` on the tier
-//! `simd_backend` names. And it times the
+//! and `index_build_ns` the index build per entry. And it times the
 //! cluster-ingest scan per cluster compared, on a 1 024-cluster book of
 //! 312-bit fingerprints probed with 328-bit outputs (the `ingest-10k`
 //! shape): `cluster_scan_pairwise_ns` for the `distance_packed` loop,
@@ -46,8 +41,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::{perturbed, synthetic_errors};
-use pc_kernels::simd::{minhash_min_on, MinHashTier};
-use pc_kernels::{distance_packed, first_within, mix64, MetricKind, PackedErrors, Parallelism};
+use pc_kernels::{distance_packed, first_within, MetricKind, PackedErrors, Parallelism};
 use pc_telemetry::trace::{Stage, StageClock, Tracer};
 use probable_cause::{DistanceMetric, ErrorString, Fingerprint, FingerprintDb, PcDistance};
 use std::hint::black_box;
@@ -266,29 +260,6 @@ fn simd_matches_scalar(
     })
 }
 
-/// Differential check: every MinHash tier this machine supports must give
-/// the scalar tier's lanes on lane counts that are and are not multiples of
-/// the 8-lane chunk, on empty to page-sized sets, and on pre-filled
-/// signatures. Returns false (rather than panicking) so the JSON record
-/// always lands and CI's `"minhash_matches_scalar": true` grep fails.
-fn minhash_matches_scalar() -> bool {
-    [1usize, 4, 15, 16, 64, 72, 128].into_iter().all(|lanes| {
-        let seeds: Vec<u64> = (0..lanes as u64).map(|l| mix64(l ^ 0x5eed)).collect();
-        [0usize, 1, 7, WEIGHT, 1_000].into_iter().all(|weight| {
-            let hashes: Vec<u64> = (0..weight as u64).map(|h| mix64(h << 24)).collect();
-            let prefilled: Vec<u64> = (0..lanes as u64).map(|l| mix64(!l) >> 6).collect();
-            [vec![u64::MAX; lanes], prefilled].into_iter().all(|start| {
-                let mut want = start.clone();
-                minhash_min_on(MinHashTier::Scalar, &seeds, &hashes, &mut want);
-                MinHashTier::ALL.into_iter().all(|tier| {
-                    let mut got = start.clone();
-                    !minhash_min_on(tier, &seeds, &hashes, &mut got) || got == want
-                })
-            })
-        })
-    })
-}
-
 /// Clusters in the cluster-scan book, and their fingerprint weight: the
 /// `ingest-10k` book of 1 024 devices at 312 stable bits each.
 const BOOK_CLUSTERS: u64 = 1_024;
@@ -348,11 +319,11 @@ fn cluster_scan_matches_pairwise(book: &[PackedErrors], probes: &[PackedErrors])
 }
 
 /// Times scalar vs packed vs packed+parallel batch scoring, measures the
-/// roofline (achieved kernel GB/s against `memcpy` bandwidth), times MinHash
-/// signing per tier and the cluster-ingest scan per cluster compared, and
-/// writes `BENCH_kernels.json` — the machine-readable record CI gates on
-/// (`parallel_speedup_ok`, `simd_matches_scalar`, `tracing_overhead_ok`,
-/// `minhash_matches_scalar`, `cluster_scan_matches_pairwise`).
+/// roofline (achieved kernel GB/s against `memcpy` bandwidth), times the
+/// identify plan stage and the cluster-ingest scan per cluster compared,
+/// and writes `BENCH_kernels.json` — the machine-readable record CI gates
+/// on (`parallel_speedup_ok`, `simd_matches_scalar`, `tracing_overhead_ok`,
+/// `cluster_scan_matches_pairwise`).
 fn emit_kernels_json(_c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test")
         || std::env::var("PC_BENCH_QUICK").is_ok_and(|v| v != "0");
@@ -508,25 +479,6 @@ fn emit_kernels_json(_c: &mut Criterion) {
         }
     }) / plan_probes.len() as f64;
 
-    // The stitcher's MinHash signing of one probe: 328 pre-hashed positions
-    // into 16 × 4 lanes. Timed in batches of 100 calls so one sample is well
-    // above the clock's resolution.
-    let seeds: Vec<u64> = (0..64u64).map(|l| mix64(l ^ 0x5eed)).collect();
-    let hashes: Vec<u64> = w.probe.positions().iter().map(|&b| mix64(b)).collect();
-    let signing_ns = |tier: MinHashTier| {
-        let mut sig = vec![u64::MAX; seeds.len()];
-        median_ns(reps, || {
-            for _ in 0..100 {
-                sig.fill(u64::MAX);
-                minhash_min_on(tier, &seeds, &hashes, black_box(&mut sig));
-            }
-        }) / 100.0
-    };
-    // `best()` is the tier `minhash_min` dispatches to.
-    let minhash_scalar_ns = signing_ns(MinHashTier::Scalar);
-    let minhash_ns = signing_ns(MinHashTier::best());
-    let minhash_ok = minhash_matches_scalar();
-
     // Algorithm 4's first-match scan at the service threshold, per cluster
     // compared: the matching probes stop partway through the book, the
     // strangers compare every cluster.
@@ -565,9 +517,6 @@ fn emit_kernels_json(_c: &mut Criterion) {
          \"tracing_overhead_ok\": {tracing_overhead_ok},\n  \
          \"index_candidates_ns\": {index_candidates_ns:.0},\n  \
          \"index_build_ns\": {index_build_ns:.0},\n  \
-         \"minhash_scalar_ns\": {minhash_scalar_ns:.0},\n  \
-         \"minhash_ns\": {minhash_ns:.0},\n  \
-         \"minhash_matches_scalar\": {minhash_ok},\n  \
          \"cluster_scan_pairwise_ns\": {cluster_scan_pairwise_ns:.1},\n  \
          \"cluster_scan_ns\": {cluster_scan_ns:.1},\n  \
          \"cluster_scan_matches_pairwise\": {cluster_scan_ok}\n}}\n",

@@ -1,28 +1,12 @@
-//! Stitching benchmarks: MinHash signatures, LSH-indexed observation
-//! ingestion, and full convergence runs.
+//! Stitching benchmarks: LSH-indexed observation ingestion, attribution,
+//! persistence, and full convergence runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pc_bench::{synthetic_errors, synthetic_output};
-use probable_cause::{MinHasher, StitchConfig, Stitcher};
+use probable_cause::{StitchConfig, Stitcher};
 use std::hint::black_box;
 
 const PAGE_BITS: u64 = 32_768;
-
-fn bench_minhash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("minhash");
-    let hasher = MinHasher::new(8, 2, 42);
-    for weight in [32usize, 328, 3_277] {
-        let page = synthetic_errors(1, weight, PAGE_BITS);
-        group.bench_with_input(BenchmarkId::new("signature", weight), &page, |b, page| {
-            b.iter(|| black_box(hasher.signature(page)))
-        });
-    }
-    let sig = hasher.signature(&synthetic_errors(1, 328, PAGE_BITS));
-    group.bench_function("band_keys", |b| {
-        b.iter(|| black_box(hasher.band_keys(&sig)))
-    });
-    group.finish();
-}
 
 fn bench_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("stitcher_observe");
@@ -116,7 +100,6 @@ fn bench_convergence_run(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_minhash,
     bench_observe,
     bench_attribute,
     bench_persistence,

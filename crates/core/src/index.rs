@@ -1,5 +1,5 @@
-//! A MinHash/LSH index over stored fingerprints, pruning Algorithm 2's
-//! linear scan.
+//! The workspace's one LSH family, and the index that prunes Algorithm 2's
+//! linear scan with it.
 //!
 //! [`crate::FingerprintDb::identify`] compares a query against every stored
 //! fingerprint; at database sizes the ROADMAP targets (10k+ chips) that
@@ -7,7 +7,9 @@
 //! once at insertion and files its band keys, so a query pays one hash per
 //! error bit plus `bands` table lookups, and then full modified-Jaccard
 //! distance only against the candidates that share at least one band key
-//! with it.
+//! with it. The [`crate::Stitcher`] signs its pages with the same family,
+//! at its own bands × rows and seed, and files the keys in its own
+//! per-band postings.
 //!
 //! The signature is one-permutation hashing (OPH) with rotation
 //! densification (Shrivastava and Li, "Densifying One Permutation Hashing
@@ -22,9 +24,10 @@
 //! with probability close to `1 − (1 − s^rows)^bands`: at the 16 × 4
 //! `pc-service` uses, a same-chip pair at `s ≈ 0.9` is almost never missed,
 //! while unrelated chips (`s` under 0.01) essentially never collide.
-//! `crates/core/tests/index_recall.rs` holds its recall to that of 16 × 4
-//! [`crate::MinHasher`] banding at each distance below the service
-//! threshold.
+//! `crates/core/tests/index_recall.rs` holds its recall to that of
+//! MinHash banding, the family it replaced (written out there as a
+//! test-local reference), at the service's 16 × 4 at each distance below
+//! the service threshold and at both of the stitcher's bandings.
 //!
 //! Storage is flat: an array of each id's band keys, ids ascending, beside
 //! one open-addressed table of `(band key, id)` pairs. The index is
@@ -33,13 +36,12 @@
 //! [`crate::persistence::load_index`], so a restarted server recovers it
 //! without re-signing.
 
-use crate::stitch::fold_band_keys;
 use crate::ErrorString;
 use pc_kernels::{map_chunked, Parallelism};
 use pc_stats::mix64;
 
-/// Salt of the per-bit hash, so this family's bins are independent of
-/// [`crate::MinHasher`]'s lanes under the same seed.
+/// Salt of the per-bit hash, mixed with the seed. Persisted band keys
+/// depend on it.
 const BIT_SALT: u64 = 0x4F50_4842_6974_7321;
 
 /// The id that marks an empty table slot; no entry may use it.
@@ -48,6 +50,54 @@ const EMPTY: u32 = u32::MAX;
 /// Entries one build task signs: large enough that claiming a chunk costs
 /// nothing next to signing it, small enough to balance a 10k-entry build.
 const BUILD_CHUNK: usize = 256;
+
+/// One-permutation signing of error-bit sets into `bands` band keys: the
+/// per-bit salt derived from the seed, the multiply-shift bin, rotation
+/// densification and the band fold. [`LshIndex`] and
+/// [`crate::Stitcher`] both sign with it.
+#[derive(Debug, Clone)]
+pub(crate) struct OphSigner {
+    bands: usize,
+    rows: usize,
+    seed: u64,
+    /// The per-bit hash salt derived from `seed`.
+    salt: u64,
+}
+
+impl OphSigner {
+    /// A signer of `bands` bands of `rows_per_band` rows, seeded by `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count is zero.
+    pub(crate) fn new(bands: usize, rows_per_band: usize, seed: u64) -> Self {
+        assert!(
+            bands > 0 && rows_per_band > 0,
+            "bands and rows must be positive"
+        );
+        Self {
+            bands,
+            rows: rows_per_band,
+            seed,
+            salt: mix64(seed ^ BIT_SALT),
+        }
+    }
+
+    /// The band keys of `errors`: its one-permutation signature over
+    /// `bands × rows` bins, densified, folded band by band. The empty set
+    /// leaves every bin at `u64::MAX`.
+    pub(crate) fn band_keys(&self, errors: &ErrorString) -> Vec<u64> {
+        let bins = self.bands * self.rows;
+        let mut sig = vec![u64::MAX; bins];
+        for &bit in errors.positions() {
+            let h = mix64(bit ^ self.salt);
+            let bin = ((u128::from(h) * bins as u128) >> 64) as usize;
+            sig[bin] = sig[bin].min(h);
+        }
+        densify(&mut sig);
+        fold_band_keys(&sig, self.bands, self.rows)
+    }
+}
 
 /// One `(band key, id)` pair of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,11 +128,7 @@ const VACANT: Slot = Slot { key: 0, id: EMPTY };
 /// ```
 #[derive(Debug, Clone)]
 pub struct LshIndex {
-    bands: usize,
-    rows: usize,
-    seed: u64,
-    /// The per-bit hash salt derived from `seed`.
-    salt: u64,
+    signer: OphSigner,
     /// Indexed ids, strictly ascending; `ids[i] == i` for a database.
     ids: Vec<u32>,
     /// `keys[i * bands..(i + 1) * bands]` are the band keys of `ids[i]`.
@@ -101,15 +147,8 @@ impl LshIndex {
     ///
     /// Panics if either count is zero.
     pub fn new(bands: usize, rows_per_band: usize, seed: u64) -> Self {
-        assert!(
-            bands > 0 && rows_per_band > 0,
-            "bands and rows must be positive"
-        );
         Self {
-            bands,
-            rows: rows_per_band,
-            seed,
-            salt: mix64(seed ^ BIT_SALT),
+            signer: OphSigner::new(bands, rows_per_band, seed),
             ids: Vec::new(),
             keys: Vec::new(),
             table: vec![VACANT; slots_for(0, bands)],
@@ -118,17 +157,17 @@ impl LshIndex {
 
     /// Number of bands.
     pub fn bands(&self) -> usize {
-        self.bands
+        self.signer.bands
     }
 
     /// Rows per band.
     pub fn rows_per_band(&self) -> usize {
-        self.rows
+        self.signer.rows
     }
 
     /// The seed the hash family was derived from.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.signer.seed
     }
 
     /// Number of indexed entries.
@@ -160,8 +199,8 @@ impl LshIndex {
         let _span = pc_telemetry::time!("core.index.insert");
         pc_telemetry::counter!("core.index.inserts").incr();
         assert_ne!(id, EMPTY, "id u32::MAX is reserved");
-        let fresh = self.band_keys(errors);
-        let b = self.bands;
+        let fresh = self.signer.band_keys(errors);
+        let b = self.bands();
         match self.position(id) {
             Ok(at) => {
                 let keys = &mut self.keys[at * b..(at + 1) * b];
@@ -196,7 +235,7 @@ impl LshIndex {
         let Ok(at) = self.position(id) else {
             return false;
         };
-        let b = self.bands;
+        let b = self.bands();
         let keys: Vec<u64> = self.keys.drain(at * b..(at + 1) * b).collect();
         self.ids.remove(at);
         for key in keys {
@@ -211,7 +250,7 @@ impl LshIndex {
         let _span = pc_telemetry::time!("core.index.candidates");
         pc_telemetry::counter!("core.index.probes").incr();
         let mut out = Vec::new();
-        for key in self.band_keys(errors) {
+        for key in self.signer.band_keys(errors) {
             let mut i = self.home(key);
             loop {
                 let slot = self.table[i];
@@ -236,7 +275,7 @@ impl LshIndex {
         self.ids
             .iter()
             .copied()
-            .zip(self.keys.chunks_exact(self.bands))
+            .zip(self.keys.chunks_exact(self.bands()))
     }
 
     /// An index over `ids` from their band keys, `bands` per id in the same
@@ -278,7 +317,7 @@ impl LshIndex {
         set: impl Fn(usize) -> ErrorString + Sync,
         par: Parallelism,
     ) -> Self {
-        let signer = Self::new(bands, rows_per_band, seed);
+        let signer = OphSigner::new(bands, rows_per_band, seed);
         let chunks = map_chunked(n.div_ceil(BUILD_CHUNK), 1, par, |c| {
             let ids = c * BUILD_CHUNK..n.min((c + 1) * BUILD_CHUNK);
             let mut keys = Vec::with_capacity(ids.len() * bands);
@@ -295,22 +334,6 @@ impl LshIndex {
             (0..n).collect(),
             chunks.concat(),
         )
-    }
-
-    /// The band keys of `errors`: its one-permutation signature over
-    /// `bands × rows` bins, densified, folded band by band as
-    /// [`crate::MinHasher::band_keys`] folds. The empty set signs as all
-    /// `u64::MAX`, like [`crate::MinHasher::signature`].
-    fn band_keys(&self, errors: &ErrorString) -> Vec<u64> {
-        let bins = self.bands * self.rows;
-        let mut sig = vec![u64::MAX; bins];
-        for &bit in errors.positions() {
-            let h = mix64(bit ^ self.salt);
-            let bin = ((u128::from(h) * bins as u128) >> 64) as usize;
-            sig[bin] = sig[bin].min(h);
-        }
-        densify(&mut sig);
-        fold_band_keys(&sig, self.bands, self.rows)
     }
 
     /// Where `id` sits in `ids`: `Ok(position)`, or `Err(insertion point)`.
@@ -387,10 +410,11 @@ impl LshIndex {
     /// Refiles every entry's keys into a table of `slots` slots.
     fn rehash(&mut self, slots: usize) {
         self.table = vec![VACANT; slots];
+        let b = self.bands();
         for at in 0..self.ids.len() {
             let id = self.ids[at];
-            for k in 0..self.bands {
-                self.insert_pair(self.keys[at * self.bands + k], id);
+            for k in 0..b {
+                self.insert_pair(self.keys[at * b + k], id);
             }
         }
     }
@@ -400,6 +424,21 @@ impl LshIndex {
 /// they can file, so the load factor never passes one half.
 fn slots_for(entries: usize, bands: usize) -> usize {
     entries.saturating_mul(bands).saturating_mul(2).max(16)
+}
+
+/// Folds a signature of `bands × rows` bins into one key per band: band
+/// `b` chains SplitMix64 over its `rows` bins from a start that depends on
+/// `b`.
+fn fold_band_keys(signature: &[u64], bands: usize, rows: usize) -> Vec<u64> {
+    (0..bands)
+        .map(|b| {
+            let mut acc = mix64(b as u64 ^ 0xB0A6_D5E3_1F2C_4B87);
+            for r in 0..rows {
+                acc = mix64(acc ^ signature[b * rows + r]);
+            }
+            acc
+        })
+        .collect()
 }
 
 /// Rotation densification: each empty bin (still `u64::MAX`) takes the
@@ -596,8 +635,8 @@ mod tests {
 
     #[test]
     fn empty_set_signs_as_the_sentinel() {
-        let idx = LshIndex::new(4, 3, 8);
-        let keys = idx.band_keys(&ErrorString::empty(4096));
+        let signer = OphSigner::new(4, 3, 8);
+        let keys = signer.band_keys(&ErrorString::empty(4096));
         assert_eq!(keys, fold_band_keys(&[u64::MAX; 12], 4, 3));
     }
 

@@ -20,15 +20,16 @@
 //! - [`cluster`] (Algorithm 4): online clustering of outputs from unknown
 //!   devices; [`ClusterBook`] holds its state when outputs arrive one at a
 //!   time (the `cluster-ingest` path of `pc-service`).
-//! - [`LshIndex`]: MinHash/LSH pruning of identification — route a query to
-//!   the few fingerprints it could plausibly match before paying full
-//!   distance computation (the serving path of `pc-service`).
+//! - [`LshIndex`]: one-permutation LSH pruning of identification — route a
+//!   query to the few fingerprints it could plausibly match before paying
+//!   full distance computation (the serving path of `pc-service`).
 //! - [`batch`]: packed-bitset batch scoring (`pc-kernels`) — the popcount
 //!   fast path under [`FingerprintDb`], clustering, stitching, and the
 //!   experiment pipelines, bit-for-bit equal to the scalar metrics.
 //! - [`Stitcher`] (Section 4 / Fig. 4): align and merge page-level
 //!   fingerprints of overlapping outputs into whole-memory fingerprints,
-//!   backed by a MinHash/LSH page index so matching scales.
+//!   backed by an LSH page index, signed with [`LshIndex`]'s hash family, so
+//!   matching scales.
 //! - [`SupplyChainAttacker`] and [`Eavesdropper`]: the two end-to-end attack
 //!   pipelines of the threat model (Fig. 3).
 //! - [`defense`]: the countermeasures discussed in §8.2 (noise injection,
@@ -94,5 +95,5 @@ pub use db::{FingerprintDb, SharedFingerprintDb};
 pub use distance::{DistanceMetric, HammingDistance, JaccardDistance, PcDistance};
 pub use fingerprint::Fingerprint;
 pub use index::LshIndex;
-pub use stitch::{MinHasher, ReferenceStitcher, RefineRule, StitchConfig, Stitcher};
+pub use stitch::{ReferenceStitcher, RefineRule, StitchConfig, Stitcher};
 pub use threshold::SeparationReport;

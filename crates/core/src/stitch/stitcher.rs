@@ -1,6 +1,6 @@
 //! The stitching engine.
 
-use crate::stitch::MinHasher;
+use crate::index::OphSigner;
 use crate::{ErrorString, Fingerprint, PcDistance};
 use std::collections::BTreeMap;
 
@@ -36,13 +36,14 @@ pub struct StitchConfig {
     pub min_agreement: f64,
     /// LSH bands.
     pub bands: usize,
-    /// MinHash rows per band.
+    /// Rows per band: each band folds this many of the `bands × rows`
+    /// one-permutation bins the pages are signed into.
     pub rows_per_band: usize,
     /// Candidate alignments (by vote count) verified per observation.
     pub max_candidates: usize,
     /// How page fingerprints absorb repeat observations.
     pub refine: RefineRule,
-    /// Seed for the MinHash functions.
+    /// Seed of the one-permutation hash the pages are signed with.
     pub seed: u64,
 }
 
@@ -118,7 +119,7 @@ struct Cluster {
 #[derive(Debug)]
 pub struct Stitcher {
     config: StitchConfig,
-    hasher: MinHasher,
+    signer: OphSigner,
     metric: PcDistance,
     clusters: Vec<Option<Cluster>>,
     parent: Vec<ClusterId>,
@@ -146,11 +147,11 @@ impl Stitcher {
             (0.0..=1.0).contains(&config.min_agreement),
             "agreement must be in [0, 1]"
         );
-        let hasher = MinHasher::new(config.bands, config.rows_per_band, config.seed);
+        let signer = OphSigner::new(config.bands, config.rows_per_band, config.seed);
         Self {
             index: (0..config.bands).map(|_| BTreeMap::new()).collect(),
             config,
-            hasher,
+            signer,
             metric: PcDistance::new(),
             clusters: Vec::new(),
             parent: Vec::new(),
@@ -220,8 +221,7 @@ impl Stitcher {
         // Phase 1: vote for candidate (cluster, alignment) pairs via LSH.
         let mut votes: BTreeMap<(ClusterId, i64), u32> = BTreeMap::new();
         for &i in &usable {
-            let sig = self.hasher.signature(&pages[i]);
-            for (band, key) in self.hasher.band_keys(&sig).into_iter().enumerate() {
+            for (band, key) in self.signer.band_keys(&pages[i]).into_iter().enumerate() {
                 if let Some(postings) = self.index[band].get(&key) {
                     for &(cid, off) in postings {
                         let cid = self.canonical(cid);
@@ -340,18 +340,7 @@ impl Stitcher {
             .expect("page sizes verified at observe()"),
             None => Fingerprint::from_observation(page.clone()),
         };
-        let index_it = fp.errors().weight() >= self.config.min_page_weight;
-        let sig_source = fp.errors().clone();
-        c.pages.insert(offset, fp);
-        if index_it {
-            let sig = self.hasher.signature(&sig_source);
-            for (band, key) in self.hasher.band_keys(&sig).into_iter().enumerate() {
-                let postings = self.index[band].entry(key).or_default();
-                if !postings.contains(&(cluster, offset)) {
-                    postings.push((cluster, offset));
-                }
-            }
-        }
+        self.file_page(cluster, offset, fp);
     }
 
     /// Merges cluster `other` into `home`; a page at `other` offset `o`
@@ -376,19 +365,23 @@ impl Stitcher {
                 .expect("page sizes verified at observe()"),
                 None => fp,
             };
-            let index_it = merged.errors().weight() >= self.config.min_page_weight;
-            let sig_source = merged.errors().clone();
-            c.pages.insert(target, merged);
-            if index_it {
-                let sig = self.hasher.signature(&sig_source);
-                for (band, key) in self.hasher.band_keys(&sig).into_iter().enumerate() {
-                    let postings = self.index[band].entry(key).or_default();
-                    if !postings.contains(&(home, target)) {
-                        postings.push((home, target));
-                    }
+            self.file_page(home, target, merged);
+        }
+    }
+
+    /// Puts `fp` at `offset` of `cluster`, first filing `(cluster, offset)`
+    /// under each of its band keys unless it is a low-information page.
+    fn file_page(&mut self, cluster: ClusterId, offset: i64, fp: Fingerprint) {
+        if fp.errors().weight() >= self.config.min_page_weight {
+            for (band, key) in self.signer.band_keys(fp.errors()).into_iter().enumerate() {
+                let postings = self.index[band].entry(key).or_default();
+                if !postings.contains(&(cluster, offset)) {
+                    postings.push((cluster, offset));
                 }
             }
         }
+        let c = self.clusters[cluster].as_mut().expect("cluster is live");
+        c.pages.insert(offset, fp);
     }
 }
 

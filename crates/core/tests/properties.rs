@@ -1,10 +1,10 @@
 //! Crate-level property tests for probable-cause: persistence round-trips,
-//! MinHash banding guarantees, and stitcher attribution consistency.
+//! LSH banding guarantees, and stitcher attribution consistency.
 
 use probable_cause::persistence::{load_db, save_db};
 use probable_cause::{
-    ErrorString, Fingerprint, FingerprintDb, MinHasher, PcDistance, ReferenceStitcher,
-    StitchConfig, Stitcher,
+    ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance, ReferenceStitcher, StitchConfig,
+    Stitcher,
 };
 use proptest::collection::btree_set;
 use proptest::prelude::*;
@@ -66,25 +66,9 @@ proptest! {
     #[test]
     fn identical_sets_always_collide_in_every_band(a in bits(), seed in any::<u64>()) {
         prop_assume!(!a.is_empty());
-        let h = MinHasher::new(6, 3, seed);
-        let ea = es(&a);
-        let k1 = h.band_keys(&h.signature(&ea));
-        let k2 = h.band_keys(&h.signature(&ea.clone()));
-        prop_assert_eq!(k1, k2);
-    }
-
-    #[test]
-    fn signature_lane_equality_requires_shared_minimum(a in bits(), b in bits()) {
-        prop_assume!(!a.is_empty() && !b.is_empty());
-        prop_assume!(a.intersection(&b).count() == 0);
-        // Disjoint sets share a signature lane only if two different bits
-        // hash to the same minimum — possible but rare; across 16 lanes we
-        // allow a small number of coincidences.
-        let h = MinHasher::new(8, 2, 5);
-        let sa = h.signature(&es(&a));
-        let sb = h.signature(&es(&b));
-        let same = sa.iter().zip(&sb).filter(|(x, y)| x == y).count();
-        prop_assert!(same <= 3, "{same} lanes collided for disjoint sets");
+        let mut index = LshIndex::new(6, 3, seed);
+        index.insert(0, &es(&a));
+        prop_assert_eq!(index.candidates(&es(&a)), vec![0]);
     }
 
     #[test]

@@ -29,10 +29,7 @@
 //!   (spawned once per process, parked between batches); results are
 //!   independent of the thread count by construction.
 //! - [`simd`]: runtime-dispatched AVX2+POPCNT / portable-`u64x4` word
-//!   kernels under the dense-block counts, and AVX-512 / AVX2 / scalar
-//!   MinHash lane minima under LSH signing, all bit-for-bit equal to scalar.
-//! - [`mix64`]: the SplitMix64 finalizer those MinHash signatures (and the
-//!   simulator's per-cell randomness, via `pc_stats`) are built on.
+//!   kernels under the dense-block counts, bit-for-bit equal to scalar.
 //!
 //! The crate depends on nothing above `std`, so every layer of the workspace
 //! (core, service, experiments, benches) can sit on top of it.
@@ -48,7 +45,6 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-mod hash;
 mod packed;
 #[allow(unsafe_code)]
 pub mod pool;
@@ -57,7 +53,6 @@ mod score;
 #[allow(unsafe_code)]
 pub mod simd;
 
-pub use hash::mix64;
 pub use packed::{DenseView, PackedErrors, BLOCK_BITS, DENSE_THRESHOLD};
 pub use pool::{chunk_size_for, map_chunked, set_auto_thread_override, Parallelism};
 pub use score::{distance_packed, first_within, score_batch, score_subset, MetricKind};

@@ -39,20 +39,22 @@ struct Block {
 }
 
 impl Block {
-    fn from_offsets(index: u32, offsets: &[u16]) -> Self {
-        let count = offsets.len() as u32;
-        let container = if offsets.len() > DENSE_THRESHOLD {
+    /// The block of `run`, the ascending positions that fall in block
+    /// `index`.
+    fn from_run(index: u32, run: &[u64]) -> Self {
+        let offsets = run.iter().map(|&p| (p % BLOCK_BITS) as u16);
+        let container = if run.len() > DENSE_THRESHOLD {
             let mut words = vec![0u64; WORDS_PER_BLOCK].into_boxed_slice();
-            for &off in offsets {
+            for off in offsets {
                 words[usize::from(off >> 6) & (WORDS_PER_BLOCK - 1)] |= 1u64 << (off & 63);
             }
             Container::Dense(words)
         } else {
-            Container::Sparse(offsets.to_vec())
+            Container::Sparse(offsets.collect())
         };
         Self {
             index,
-            count,
+            count: run.len() as u32,
             container,
         }
     }
@@ -95,23 +97,21 @@ impl PackedErrors {
     pub fn from_positions(positions: &[u64], size: u64) -> Self {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(positions.last().is_none_or(|&p| p < size));
-        let mut blocks = Vec::new();
-        let mut offsets: Vec<u16> = Vec::new();
-        let mut current: Option<u32> = None;
-        for &p in positions {
-            let index = (p / BLOCK_BITS) as u32;
-            if current != Some(index) {
-                if let Some(i) = current {
-                    blocks.push(Block::from_offsets(i, &offsets));
-                }
-                offsets.clear();
-                current = Some(index);
-            }
-            offsets.push((p % BLOCK_BITS) as u16);
-        }
-        if let Some(i) = current {
-            blocks.push(Block::from_offsets(i, &offsets));
-        }
+        // Each block's run of positions, found by binary search.
+        let runs = || {
+            let mut rest = positions;
+            std::iter::from_fn(move || {
+                let block = rest.first()? / BLOCK_BITS;
+                let (run, tail) = rest.split_at(rest.partition_point(|&p| p / BLOCK_BITS == block));
+                rest = tail;
+                Some((block as u32, run))
+            })
+        };
+        // Sized exactly up front: pushing would leave spare capacity behind
+        // (room for 4 blocks in a one-block string), and shrinking later
+        // can strand it in the allocator.
+        let mut blocks = Vec::with_capacity(runs().count());
+        blocks.extend(runs().map(|(index, run)| Block::from_run(index, run)));
         Self {
             blocks,
             weight: positions.len() as u64,
@@ -380,6 +380,18 @@ mod tests {
         assert_eq!(p.positions(), bits);
         assert_eq!(p.weight(), 7);
         assert_eq!(p.block_count(), 3);
+    }
+
+    #[test]
+    fn block_vector_holds_no_spare_capacity() {
+        for bits in [
+            vec![],
+            vec![7, 300],
+            vec![0, 5, 63, 64, 32_767, 32_768, 100_000],
+        ] {
+            let p = packed(&bits, 1 << 20);
+            assert_eq!(p.blocks.capacity(), p.blocks.len(), "{bits:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Explicit SIMD for the dense-block intersect kernels and MinHash signing.
+//! Explicit SIMD for the dense-block intersect kernels.
 //!
 //! Popcount: three tiers, all bit-for-bit equal (the differential proptests
 //! in `crates/core/tests/kernels_differential.rs` and the bench's
@@ -16,39 +16,20 @@
 //! 3. The plain zip (what `packed.rs` shipped before), as the reference the
 //!    tests compare against.
 //!
-//! MinHash ([`minhash_min`], the LSH signing loop): one safe body over
-//! 8-lane chunks of the hash family, compiled twice — for AVX-512F+DQ,
-//! where the SplitMix64 multiplies are native `vpmullq` and the minimum is
-//! `vpminuq`, and for AVX2, which emulates both — plus the scalar loop as
-//! the portable tier and the reference ([`MinHashTier`];
-//! `crates/kernels/tests/minhash_differential.rs` and the bench's
-//! `minhash_matches_scalar` gate hold every tier to it). The 8-lane body
-//! built for baseline `x86-64` is slower than the scalar loop, so the
-//! scalar loop stays the fallback.
-//!
-//! The one `unsafe` here is the call into the `#[target_feature]` functions,
+//! The one `unsafe` here is the call into the `#[target_feature]` function,
 //! guarded by `is_x86_feature_detected!` (see SAFETY; lint U003 pins
-//! `unsafe` to this module and `pool.rs`). Popcounts, SplitMix64 and
-//! minima are integer ops — no floating point, so "bit-for-bit" is exact
-//! equality, not tolerance.
+//! `unsafe` to this module and `pool.rs`). Popcounts are integer ops — no
+//! floating point, so "bit-for-bit" is exact equality, not tolerance.
 
-use crate::mix64;
-use std::sync::OnceLock;
-
-/// Which kernel tiers this machine dispatches to — the popcount tier of
-/// [`and_popcount`] and the [`MinHashTier`] of [`minhash_min`], e.g.
-/// `"avx2+popcnt, minhash avx512"` — recorded in bench output and run
-/// manifests so regressions are attributable.
+/// Which popcount tier [`and_popcount`] dispatches to on this machine,
+/// `"avx2+popcnt"` or `"portable-u64x4"` — recorded in bench output and
+/// run manifests so regressions are attributable.
 pub fn backend() -> &'static str {
-    static BACKEND: OnceLock<String> = OnceLock::new();
-    BACKEND.get_or_init(|| {
-        let popcount = if popcount_avx2_detected() {
-            "avx2+popcnt"
-        } else {
-            "portable-u64x4"
-        };
-        format!("{popcount}, minhash {}", MinHashTier::best().name())
-    })
+    if popcount_avx2_detected() {
+        "avx2+popcnt"
+    } else {
+        "portable-u64x4"
+    }
 }
 
 fn popcount_avx2_detected() -> bool {
@@ -75,138 +56,6 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         }
     }
     and_popcount_portable(a, b)
-}
-
-/// A tier of the MinHash lane-minimum kernel. Every tier computes the same
-/// minima; they differ only in which instructions the SplitMix64 rounds
-/// compile to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MinHashTier {
-    /// The 8-lane body compiled for AVX-512F+DQ: 512-bit vectors with a
-    /// native 64-bit multiply (`vpmullq`) and unsigned minimum (`vpminuq`).
-    Avx512,
-    /// The same body compiled for AVX2, which has neither: each 64-bit
-    /// multiply takes three 32-bit ones, each minimum a compare and blend.
-    Avx2,
-    /// The scalar loop: the portable tier and the reference.
-    Scalar,
-}
-
-impl MinHashTier {
-    /// Every tier, fastest first.
-    pub const ALL: [Self; 3] = [Self::Avx512, Self::Avx2, Self::Scalar];
-
-    /// The tier's name as [`backend`] reports it.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Avx512 => "avx512",
-            Self::Avx2 => "avx2",
-            Self::Scalar => "scalar",
-        }
-    }
-
-    /// Whether this machine can run the tier (cached CPUID).
-    pub fn supported(self) -> bool {
-        match self {
-            Self::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Self::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512dq")
-            }
-            #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Self::Avx512 | Self::Avx2 => false,
-        }
-    }
-
-    /// The fastest tier this machine supports — what [`minhash_min`] runs.
-    pub fn best() -> Self {
-        Self::ALL
-            .into_iter()
-            .find(|tier| tier.supported())
-            .unwrap_or(Self::Scalar)
-    }
-}
-
-/// The MinHash lane minimum: `sig[l] = min(sig[l], min_h mix64(seeds[l] ^ h))`
-/// over every `h` in `hashes`. Accumulating into `sig` lets a caller sign a
-/// set in pieces; a fresh signature starts at all `u64::MAX`, which is also
-/// what an empty `hashes` leaves. Dispatches per call on the cached CPUID
-/// result to the fastest [`MinHashTier`]; every tier returns identical
-/// lanes.
-///
-/// # Panics
-///
-/// Panics unless `seeds` and `sig` have the same length.
-#[inline]
-pub fn minhash_min(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-    minhash_min_on(MinHashTier::best(), seeds, hashes, sig);
-}
-
-/// [`minhash_min`] on a chosen tier — how the differential tests and the
-/// bench reach every tier. Returns `false`, leaving `sig` untouched, when
-/// this machine lacks the tier.
-///
-/// # Panics
-///
-/// Panics unless `seeds` and `sig` have the same length.
-pub fn minhash_min_on(tier: MinHashTier, seeds: &[u64], hashes: &[u64], sig: &mut [u64]) -> bool {
-    assert_eq!(seeds.len(), sig.len(), "one seed per signature lane");
-    if !tier.supported() {
-        return false;
-    }
-    match tier {
-        MinHashTier::Scalar => minhash_min_scalar(seeds, hashes, sig),
-        // SAFETY: `tier.supported()` just runtime-detected `avx512f` and
-        // `avx512dq`, the only precondition of the `#[target_feature]` fn.
-        #[cfg(target_arch = "x86_64")]
-        MinHashTier::Avx512 => unsafe { x86::minhash_min_avx512(seeds, hashes, sig) },
-        // SAFETY: `tier.supported()` just runtime-detected `avx2`, the only
-        // precondition of the `#[target_feature]` fn.
-        #[cfg(target_arch = "x86_64")]
-        MinHashTier::Avx2 => unsafe { x86::minhash_min_avx2(seeds, hashes, sig) },
-        #[cfg(not(target_arch = "x86_64"))]
-        MinHashTier::Avx512 | MinHashTier::Avx2 => return false,
-    }
-    true
-}
-
-/// The scalar tier: hash-major, one lane at a time (the loop
-/// `MinHasher::signature` ran before the SIMD tiers).
-fn minhash_min_scalar(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-    for &h in hashes {
-        for (lane, &seed) in sig.iter_mut().zip(seeds) {
-            let v = mix64(seed ^ h);
-            if v < *lane {
-                *lane = v;
-            }
-        }
-    }
-}
-
-/// The SIMD tiers' shared body: one 8-lane chunk of the family at a time,
-/// so the chunk's seeds and running minima stay in registers across the
-/// whole set. A short last chunk is padded (seed 0, minimum `u64::MAX`)
-/// and only its real lanes are written back. Safe code: what makes it SIMD
-/// is the `#[target_feature]` function it is inlined into, where LLVM
-/// vectorizes the fixed-width loop.
-#[inline(always)]
-fn minhash_min_lanes8(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-    for (seed_chunk, sig_chunk) in seeds.chunks(8).zip(sig.chunks_mut(8)) {
-        let n = seed_chunk.len();
-        let mut s = [0u64; 8];
-        let mut acc = [u64::MAX; 8];
-        s[..n].copy_from_slice(seed_chunk);
-        acc[..n].copy_from_slice(sig_chunk);
-        for &h in hashes {
-            for (a, &seed) in acc.iter_mut().zip(&s) {
-                *a = (*a).min(mix64(seed ^ h));
-            }
-        }
-        sig_chunk.copy_from_slice(&acc[..n]);
-    }
 }
 
 /// Sparse-offsets-versus-dense-words probe test: counts how many `offs` land
@@ -260,21 +109,6 @@ pub fn and_popcount_portable(a: &[u64], b: &[u64]) -> u64 {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{__m256i, _mm256_and_si256, _mm256_loadu_si256};
-
-    /// The MinHash body with `u64` multiply and minimum as single AVX-512
-    /// instructions. Must only be called when the `avx512f` and `avx512dq`
-    /// CPU features are present (checked by the caller).
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub fn minhash_min_avx512(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-        super::minhash_min_lanes8(seeds, hashes, sig);
-    }
-
-    /// The MinHash body on AVX2. Must only be called when the `avx2` CPU
-    /// feature is present (checked by the caller).
-    #[target_feature(enable = "avx2")]
-    pub fn minhash_min_avx2(seeds: &[u64], hashes: &[u64], sig: &mut [u64]) {
-        super::minhash_min_lanes8(seeds, hashes, sig);
-    }
 
     /// AVX2 AND + hardware POPCNT tier. Must only be called when the
     /// `avx2` and `popcnt` CPU features are present (checked by the caller).
@@ -389,8 +223,6 @@ mod tests {
 
     #[test]
     fn backend_reports_a_known_tier() {
-        let (popcount, minhash) = backend().split_once(", minhash ").unwrap();
-        assert!(["avx2+popcnt", "portable-u64x4"].contains(&popcount));
-        assert_eq!(minhash, MinHashTier::best().name());
+        assert!(["avx2+popcnt", "portable-u64x4"].contains(&backend()));
     }
 }

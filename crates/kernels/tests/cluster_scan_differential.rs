@@ -5,15 +5,22 @@
 //! against the [`distance_packed`] loop it replaces. Every comparison is
 //! exact: the scan must take the same branches the pairwise merge takes.
 
-use pc_kernels::{
-    distance_packed, first_within, mix64, DenseView, MetricKind, PackedErrors, BLOCK_BITS,
-};
+use pc_kernels::{distance_packed, first_within, DenseView, MetricKind, PackedErrors, BLOCK_BITS};
 
 const KINDS: [MetricKind; 3] = [
     MetricKind::PcJaccard,
     MetricKind::Hamming,
     MetricKind::Jaccard,
 ];
+
+/// One SplitMix64 step (add the golden gamma, then the finalizer): the
+/// fixtures' hash, written out so they do not depend on other crates.
+fn mix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// The smallest intersection in `0..=min(weights)` whose distance is below
 /// `threshold`, by trying each in turn.

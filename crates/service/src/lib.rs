@@ -9,7 +9,7 @@
 //! - [`codec`]: 4-byte length-prefixed framing with an enforced frame cap.
 //! - [`store`]: one fingerprint database, routed by the core
 //!   [`probable_cause::LshIndex`] so a query pays full modified-Jaccard
-//!   distance only against fingerprints it shares a MinHash band with.
+//!   distance only against fingerprints it shares a band key with.
 //! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)
 //!   and one dispatcher, which scores runs of identifies on the kernel
 //!   pool.

@@ -6,7 +6,7 @@
 //! covers every entry: [`ShardedStore::open`] adopts a persisted index only
 //! when it holds exactly the database's ids and rebuilds it otherwise, and
 //! every `characterize` re-signs the entry it writes. An identify asks the
-//! index for the ids sharing a MinHash band with the query, so only those
+//! index for the ids sharing a band key with the query, so only those
 //! pay full modified-Jaccard distance, and scores them through
 //! [`FingerprintDb::closest_among`] under the database's read lock; the
 //! dispatcher (see [`crate::pool`]) runs many identifies side by side on
@@ -32,11 +32,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Routing and matching parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// MinHash bands for the routing index.
+    /// Bands of the routing index.
     pub bands: usize,
     /// Rows per band.
     pub rows_per_band: usize,
-    /// Seed of the MinHash family.
+    /// Seed of the routing index's one-permutation hash.
     pub index_seed: u64,
     /// Matching threshold for identify and cluster-ingest.
     pub threshold: f64,
@@ -47,8 +47,9 @@ impl Default for StoreConfig {
         // 16×4 banding of the one-permutation index: every serving-shaped
         // re-observation (312 enrolled bits, 16 missing, 16 added: Jaccard
         // ≈ 0.9) found its chip in `crates/core/tests/index_recall.rs`, which
-        // holds its recall to the 16×4 MinHash family's at each distance
-        // below the threshold; unrelated chips essentially never collide.
+        // holds its recall to that of 16×4 MinHash, the family it replaced,
+        // at each distance below the threshold; unrelated chips essentially
+        // never collide.
         Self {
             bands: 16,
             rows_per_band: 4,

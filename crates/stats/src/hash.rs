@@ -10,16 +10,24 @@ use std::convert::Infallible;
 
 use rand::TryRng;
 
-/// SplitMix64 finalizer, defined once in `pc_kernels` (whose MinHash
-/// kernels vectorize it) and re-exported here.
+/// SplitMix64 finalizer. Bijective on `u64`, passes BigCrush as the core of
+/// SplitMix64; adequate for simulation (not cryptographic) use.
 ///
 /// # Example
 ///
 /// ```
 /// let a = pc_stats::mix64(1);
-/// assert_eq!(a, pc_kernels::mix64(1));
+/// let b = pc_stats::mix64(2);
+/// assert_ne!(a, b);
+/// assert_eq!(a, pc_stats::mix64(1));
 /// ```
-pub use pc_kernels::mix64;
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// Deterministic per-index uniform generator: a keyed hash from `u64` indices
 /// to `u64` words / unit-interval floats.

@@ -25,7 +25,6 @@ pub const COUNTERS: &[&str] = &[
     "core.index.candidates_returned",
     "core.index.inserts",
     "core.index.probes",
-    "core.minhash.signatures",
     "core.stitch.alignments_accepted",
     "core.stitch.candidates",
     "core.stitch.clusters_seeded",
@@ -104,7 +103,6 @@ pub const SPANS: &[&str] = &[
     "core.db.identify_batch",
     "core.index.candidates",
     "core.index.insert",
-    "core.minhash.signature",
     "core.stitch.align",
     "core.stitch.observe",
     "dram.errors_at",

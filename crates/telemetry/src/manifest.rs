@@ -72,9 +72,8 @@ impl RunManifest {
     }
 
     /// Records the compute-kernel provenance of the run: the scoring pool's
-    /// thread budget and which SIMD tiers the popcount and MinHash kernels
-    /// dispatched to (`"avx2+popcnt, minhash avx512"`,
-    /// `"portable-u64x4, minhash scalar"`, …). Fixed for a given machine
+    /// thread budget and which SIMD tier the popcount kernels dispatched to
+    /// (`"avx2+popcnt"` or `"portable-u64x4"`). Fixed for a given machine
     /// and environment, so it lives in the comparable portion — results
     /// never depend on it (kernels are bit-for-bit across tiers and thread
     /// counts), but a perf regression in an archived manifest needs it.

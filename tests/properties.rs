@@ -152,17 +152,4 @@ proptest! {
         let hi = q.page_errors(3, p1 + dp, trial);
         prop_assert!(lo.iter().all(|b| hi.binary_search(b).is_ok()));
     }
-
-    #[test]
-    fn minhash_estimate_tracks_true_jaccard(a in bits(), b in bits()) {
-        prop_assume!(!a.is_empty() && !b.is_empty());
-        let hasher = probable_cause_repro::core::MinHasher::new(32, 4, 11); // 128 lanes
-        let ea = es(&a);
-        let eb = es(&b);
-        let inter = a.intersection(&b).count() as f64;
-        let union = a.union(&b).count() as f64;
-        let truth = inter / union;
-        let est = hasher.estimate_similarity(&hasher.signature(&ea), &hasher.signature(&eb));
-        prop_assert!((est - truth).abs() < 0.25, "est {est} vs true {truth}");
-    }
 }

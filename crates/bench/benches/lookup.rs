@@ -78,7 +78,7 @@ fn bench_lookup(c: &mut Criterion) {
                 .into_iter()
                 .map(|id| id as usize)
                 .collect();
-            db.closest_among(&ids, probe, Parallelism::single())
+            db.closest_among(&ids, probe)
                 .filter(|&(_, d)| d < db.threshold())
         };
         group.bench_with_input(BenchmarkId::new("lsh_indexed", chips), &chips, |b, _| {

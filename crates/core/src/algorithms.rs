@@ -164,13 +164,14 @@ fn cluster_packed(observations: &[ErrorString], kind: MetricKind, threshold: f64
         })
         .collect();
     Clustering {
-        clusters: book.clusters,
+        clusters: book.clusters(),
         assignments,
     }
 }
 
 /// **Algorithm 4** as online state, for outputs that arrive one at a time:
-/// the cluster fingerprints of a built-in metric with their packed mirrors.
+/// the cluster fingerprints of a built-in metric, each stored once, packed,
+/// beside its observation count (the shape of a database entry).
 /// [`cluster`] runs its packed path through one, and `pc-service` keeps one
 /// for `cluster-ingest`.
 ///
@@ -198,9 +199,10 @@ fn cluster_packed(observations: &[ErrorString], kind: MetricKind, threshold: f64
 pub struct ClusterBook {
     kind: MetricKind,
     threshold: f64,
-    clusters: Vec<Fingerprint>,
-    /// `packed[j]` is `clusters[j]`'s error string, re-packed on refine.
+    /// `packed[j]` is cluster `j`'s error string, re-packed on refine.
     packed: Vec<PackedErrors>,
+    /// `observations[j]` is cluster `j`'s observation count.
+    observations: Vec<u32>,
 }
 
 /// Where [`ClusterBook::ingest`] put an output.
@@ -240,24 +242,32 @@ impl ClusterBook {
         Self {
             kind,
             threshold,
-            clusters: Vec::new(),
             packed: Vec::new(),
+            observations: Vec::new(),
         }
     }
 
     /// Number of clusters.
     pub fn len(&self) -> usize {
-        self.clusters.len()
+        self.packed.len()
     }
 
     /// Whether no output has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
+        self.packed.is_empty()
     }
 
-    /// The cluster fingerprints (cluster id = index).
-    pub fn clusters(&self) -> &[Fingerprint] {
-        &self.clusters
+    /// Cluster `j`'s fingerprint, unpacked.
+    fn cluster(&self, j: usize) -> Fingerprint {
+        Fingerprint::from_parts(
+            ErrorString::from_packed(&self.packed[j]),
+            self.observations[j],
+        )
+    }
+
+    /// The cluster fingerprints (cluster id = index), unpacked.
+    pub fn clusters(&self) -> Vec<Fingerprint> {
+        (0..self.len()).map(|j| self.cluster(j)).collect()
     }
 
     /// Assigns `observation` to the first cluster within the threshold,
@@ -274,24 +284,24 @@ impl ClusterBook {
         let (hit, compared) = first_within(&self.packed, &probe, self.kind, self.threshold);
         add_comparisons(self.kind, compared);
         let Some(cluster) = hit else {
-            self.clusters
-                .push(Fingerprint::from_observation(observation.clone()));
             self.packed.push(probe);
+            self.observations.push(1);
             return Ok(Assignment {
-                cluster: self.clusters.len() - 1,
+                cluster: self.len() - 1,
                 seeded: true,
                 compared,
             });
         };
-        let refined = self.clusters[cluster]
-            .refine(observation)
-            .map_err(|error| ClusterRefineError {
-                cluster,
-                compared,
-                error,
-            })?;
+        let refined =
+            self.cluster(cluster)
+                .refine(observation)
+                .map_err(|error| ClusterRefineError {
+                    cluster,
+                    compared,
+                    error,
+                })?;
         self.packed[cluster] = refined.errors().to_packed();
-        self.clusters[cluster] = refined;
+        self.observations[cluster] = refined.observations();
         Ok(Assignment {
             cluster,
             seeded: false,
@@ -417,7 +427,7 @@ mod tests {
         let mut book = ClusterBook::new(MetricKind::PcJaccard, 0.3);
         book.ingest(&es(&[1, 2, 3, 4])).unwrap();
         book.ingest(&es(&[100, 150, 200, 250])).unwrap();
-        let (clusters, packed) = (book.clusters.clone(), book.packed.clone());
+        let (packed, observations) = (book.packed.clone(), book.observations.clone());
         // Positions are compared verbatim, so a wider string can match.
         let wider = ErrorString::from_sorted(vec![100, 150, 200, 250], 512).unwrap();
         let refused = book.ingest(&wider).unwrap_err();
@@ -426,7 +436,7 @@ mod tests {
             refused.to_string(),
             "cannot refine cluster 1: size mismatch: 256 bits vs 512 bits"
         );
-        assert_eq!((book.clusters, book.packed), (clusters, packed));
+        assert_eq!((book.packed, book.observations), (packed, observations));
     }
 
     #[test]

@@ -156,16 +156,17 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
 
     /// Distances for the entry ids in `ids` (same order) — the candidate-set
     /// shape of indexed identification.
-    fn distances_of(
-        &self,
-        ids: &[usize],
-        error_string: &ErrorString,
-        par: Parallelism,
-    ) -> Vec<f64> {
+    fn distances_of(&self, ids: &[usize], error_string: &ErrorString) -> Vec<f64> {
         match self.metric.kind() {
             Some(kind) => {
                 add_comparisons(kind, ids.len() as u64);
-                pc_kernels::score_subset(&self.packed, ids, &error_string.to_packed(), kind, par)
+                pc_kernels::score_subset(
+                    &self.packed,
+                    ids,
+                    &error_string.to_packed(),
+                    kind,
+                    Parallelism::single(),
+                )
             }
             None => ids
                 .iter()
@@ -212,7 +213,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
     /// [`identify`](FingerprintDb::identify).
     pub fn identify_best(&self, error_string: &ErrorString) -> Option<(&L, f64)> {
         let all: Vec<usize> = (0..self.entries.len()).collect();
-        self.closest_among(&all, error_string, Parallelism::single())
+        self.closest_among(&all, error_string)
     }
 
     /// Identifies every probe: `out[i]` is what
@@ -249,7 +250,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let results = pc_kernels::map_chunked(probes.len(), 1, par, |i| {
             // Each worker scores its probe single-threaded; parallelism
             // lives in the probe dimension.
-            self.closest_among(&all, &probes[i], Parallelism::single())
+            self.closest_among(&all, &probes[i])
                 .filter(|&(_, d)| d < self.threshold)
         });
         pc_telemetry::counter!("core.db.identify.comparisons")
@@ -263,21 +264,13 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
     /// The entry among `ids` closest to `error_string`, regardless of
     /// threshold: lowest distance, ties broken by label order, as in
     /// [`identify`](FingerprintDb::identify). `None` when `ids` is empty.
-    /// Scoring runs on `par` threads; the answer is the same for every
-    /// thread count.
+    /// Scoring runs on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if an id is not an entry of this database.
-    pub fn closest_among(
-        &self,
-        ids: &[usize],
-        error_string: &ErrorString,
-        par: Parallelism,
-    ) -> Option<(&L, f64)> {
-        let distances = self.distances_of(ids, error_string, par);
-        // Argmin runs sequentially over the scored vector so the label
-        // tie-break is exact regardless of how scoring was chunked.
+    pub fn closest_among(&self, ids: &[usize], error_string: &ErrorString) -> Option<(&L, f64)> {
+        let distances = self.distances_of(ids, error_string);
         let mut best: Option<(&L, f64)> = None;
         for (&id, &d) in ids.iter().zip(&distances) {
             let label = &self.entries[id].0;
@@ -350,7 +343,7 @@ mod tests {
                 .iter()
                 .map(|&id| id as usize)
                 .collect();
-            let routed = db.closest_among(&ids, &probe, Parallelism::single());
+            let routed = db.closest_among(&ids, &probe);
             assert_eq!(
                 routed.filter(|&(_, d)| d < db.threshold()),
                 db.identify_with_distance(&probe),
@@ -366,16 +359,10 @@ mod tests {
         db.insert("far-b", fp(&[1, 2, 90, 91]));
         db.insert("far-a", fp(&[1, 2, 92, 93]));
         let probe = es(&[1, 2, 3, 4]);
-        for threads in [1, 4] {
-            let par = Parallelism::new(threads);
-            assert_eq!(db.closest_among(&[0, 1], &probe, par), Some((&"near", 0.0)));
-            // Above the threshold, and an exact tie broken by label order.
-            assert_eq!(
-                db.closest_among(&[1, 2], &probe, par),
-                Some((&"far-a", 0.5))
-            );
-            assert_eq!(db.closest_among(&[], &probe, par), None);
-        }
+        assert_eq!(db.closest_among(&[0, 1], &probe), Some((&"near", 0.0)));
+        // Above the threshold, and an exact tie broken by label order.
+        assert_eq!(db.closest_among(&[1, 2], &probe), Some((&"far-a", 0.5)));
+        assert_eq!(db.closest_among(&[], &probe), None);
     }
 
     #[test]

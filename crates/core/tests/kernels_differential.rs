@@ -242,7 +242,6 @@ fn unpacked_fallback_scores_like_the_packed_path() {
         unpacked.insert(c, fp);
     }
     let ids: Vec<usize> = (0..40).rev().collect();
-    let single = Parallelism::single();
     for p in 0..10u64 {
         let probe = es_with(p % 5 + 1, 10 + p * 14, size);
         assert_eq!(unpacked.distances(&probe), packed.distances(&probe));
@@ -251,8 +250,8 @@ fn unpacked_fallback_scores_like_the_packed_path() {
             packed.identify_with_distance(&probe)
         );
         assert_eq!(
-            unpacked.closest_among(&ids, &probe, single),
-            packed.closest_among(&ids, &probe, single)
+            unpacked.closest_among(&ids, &probe),
+            packed.closest_among(&ids, &probe)
         );
     }
 }

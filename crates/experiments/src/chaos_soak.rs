@@ -45,7 +45,7 @@ const MAX_ATTEMPTS: u32 = 40;
 const THRESHOLD: f64 = 0.3;
 
 /// The storm: combined per-request injection rate ≈ 12% (wire.read fires on
-/// the read preceding each request, wire.write on each response, and
+/// each request frame read, wire.write on each response, and
 /// store.score on each identify, half the requests), above the 10% floor
 /// the experiment promises.
 const SOAK_PLAN: &str = "seed=42;wire.read=p0.06;wire.write=p0.04;store.score=p0.04";
@@ -206,7 +206,6 @@ pub fn run(out: &Path) -> io::Result<String> {
             ..StoreConfig::default()
         },
         queue_capacity: 64,
-        batch_size: 8,
         retry_after_ms: 1,
         db_path: Some(db_path.clone()),
         index_path: Some(index_path.clone()),

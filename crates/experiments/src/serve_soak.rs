@@ -76,7 +76,6 @@ pub fn run(out: &Path) -> io::Result<String> {
             ..StoreConfig::default()
         },
         queue_capacity: 8,
-        batch_size: 4,
         retry_after_ms: 1,
         db_path: Some(db_path.clone()),
         index_path: Some(index_path.clone()),

@@ -11,8 +11,7 @@
 //!   [`probable_cause::LshIndex`] so a query pays full modified-Jaccard
 //!   distance only against fingerprints it shares a band key with.
 //! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)
-//!   and one dispatcher, which scores runs of identifies on the kernel
-//!   pool.
+//!   and one dispatcher, which answers every job in admission order.
 //! - [`server`]: the accept loop, per-connection reader/writer threads, and
 //!   graceful drain-on-shutdown with database + index persistence.
 //! - [`client`]: a blocking client (`pc query` and the tests).

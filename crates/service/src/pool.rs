@@ -2,13 +2,13 @@
 //! dispatcher thread.
 //!
 //! Connection threads *submit* work and never touch the store. The
-//! dispatcher pops jobs in batches and walks each batch in admission order.
-//! A run of consecutive identifies is scored side by side on the kernel
-//! pool ([`pc_kernels::map_chunked`], one identify per task), the one
-//! in-process parallel layer; each mutation (characterize, cluster-ingest,
-//! replay) runs serially on the dispatcher between runs. Writes are
-//! therefore deterministic in admission order, and every identify sees
-//! exactly the mutations admitted before it.
+//! dispatcher pops jobs in batches and answers each job in admission order:
+//! it runs the job, sends the response, then takes the next one. An
+//! identify (LSH planning plus kernel scoring of a handful of candidates,
+//! microseconds of work) runs on the dispatcher exactly like a mutation
+//! (characterize, cluster-ingest, replay). Writes are therefore
+//! deterministic in admission order, and every identify sees exactly the
+//! mutations admitted before it.
 //!
 //! Backpressure is explicit: the queue has a fixed capacity and
 //! [`SubmissionQueue::try_submit`] never blocks — a full queue bounces the
@@ -27,7 +27,6 @@
 
 use crate::protocol::{Response, TraceBody};
 use crate::store::ShardedStore;
-use pc_kernels::Parallelism;
 use pc_telemetry::counter;
 use pc_telemetry::trace::{Stage, TraceBuilder, Tracer};
 use probable_cause::ErrorString;
@@ -69,7 +68,8 @@ pub type Reply = mpsc::Sender<Outbound>;
 /// [`Response::Traced`] when the client asked for the breakdown on the wire.
 ///
 /// Called exactly once per request, at the point its response is built —
-/// everything from queue pickup to here counts as the score stage.
+/// everything from the job's pop off the queue to here counts as the
+/// score stage.
 pub(crate) fn apply_trace(trace: &mut Option<Box<TraceBuilder>>, response: Response) -> Response {
     let Some(tb) = trace.as_deref_mut() else {
         return response;
@@ -363,14 +363,6 @@ impl Pool {
     }
 }
 
-/// An identify waiting in the dispatcher's current run.
-struct PendingIdentify {
-    seq: u64,
-    errors: Arc<ErrorString>,
-    reply: Reply,
-    trace: Option<Box<TraceBuilder>>,
-}
-
 fn dispatch_loop(
     store: &ShardedStore,
     queue: &SubmissionQueue,
@@ -378,22 +370,21 @@ fn dispatch_loop(
     metrics: &PoolMetrics,
     tracer: &Tracer,
 ) {
-    let mut run = Vec::new();
-    while let Some(batch) = queue.pop_batch(batch_size) {
+    while let Some(mut batch) = queue.pop_batch(batch_size) {
         counter!("service.dispatch.batches").incr();
         counter!("service.dispatch.jobs").add(batch.len() as u64);
-        for mut job in batch {
-            let _span = pc_telemetry::time!("service.dispatch.route");
-            // Pickup closes the queue-wait stage: admission → here.
+        // Leaving the queue closes each job's queue-wait stage (admission →
+        // pop), the moment it stops counting in `queue_depth`. Its score
+        // stage runs from here to its answer, so it includes the jobs ahead
+        // of it in this batch: the dispatcher's own serial wait.
+        for job in &mut batch {
             if let Some(tb) = job.trace_mut() {
                 tb.record_lap(Stage::QueueWait);
             }
-            if !matches!(job, Job::Identify { .. }) {
-                // A mutation sees every identify admitted before it
-                // answered, and none admitted after.
-                serve_identifies(store, &mut run, metrics, tracer);
-            }
-            // Mutations run under catch_unwind so a poisoned observation
+        }
+        for job in batch {
+            let _span = pc_telemetry::time!("service.dispatch.route");
+            // Every job runs under catch_unwind so a poisoned request
             // cannot take down the dispatcher, the one thread the whole pool
             // depends on.
             let (seq, reply, trace, response) = match job {
@@ -403,13 +394,22 @@ fn dispatch_loop(
                     reply,
                     trace,
                 } => {
-                    run.push(PendingIdentify {
-                        seq,
-                        errors,
-                        reply,
-                        trace,
-                    });
-                    continue;
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        if pc_faults::fail_point("store.score") {
+                            // pc-allow: P003 — deliberate fault-injection site inside catch_unwind
+                            panic!("injected fault at store.score");
+                        }
+                        store.identify(&errors)
+                    }));
+                    let response = match outcome {
+                        Ok(Ok(Ok((label, distance)))) => Response::Match { label, distance },
+                        Ok(Ok(Err(closest))) => Response::NoMatch { closest },
+                        Ok(Err(e)) => Response::Error {
+                            message: e.to_string(),
+                        },
+                        Err(_) => panicked(metrics, tracer, "identify"),
+                    };
+                    (seq, reply, trace, response)
                 }
                 Job::Characterize {
                     seq,
@@ -482,43 +482,6 @@ fn dispatch_loop(
             };
             respond(seq, &reply, trace, response);
         }
-        serve_identifies(store, &mut run, metrics, tracer);
-    }
-}
-
-/// Answers `run`, a run of consecutive identifies, leaving it empty. The
-/// identifies are scored side by side on the kernel pool, each under its
-/// own `catch_unwind`.
-fn serve_identifies(
-    store: &ShardedStore,
-    run: &mut Vec<PendingIdentify>,
-    metrics: &PoolMetrics,
-    tracer: &Tracer,
-) {
-    if run.is_empty() {
-        return;
-    }
-    let probes: Vec<&ErrorString> = run.iter().map(|p| &*p.errors).collect();
-    let verdicts = pc_kernels::map_chunked(probes.len(), 1, Parallelism::auto(), |i| {
-        catch_unwind(AssertUnwindSafe(|| {
-            if pc_faults::fail_point("store.score") {
-                // pc-allow: P003 — deliberate fault-injection site inside catch_unwind
-                panic!("injected fault at store.score");
-            }
-            // pc-allow: P004 — map_chunked hands out indices in 0..probes.len()
-            store.identify(probes[i])
-        }))
-    });
-    for (pending, verdict) in run.drain(..).zip(verdicts) {
-        let response = match verdict {
-            Ok(Ok(Ok((label, distance)))) => Response::Match { label, distance },
-            Ok(Ok(Err(closest))) => Response::NoMatch { closest },
-            Ok(Err(e)) => Response::Error {
-                message: e.to_string(),
-            },
-            Err(_) => panicked(metrics, tracer, "identify"),
-        };
-        respond(pending.seq, &pending.reply, pending.trace, response);
     }
 }
 

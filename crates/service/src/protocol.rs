@@ -29,6 +29,7 @@
 //! `"retryable"` distinguishing backpressure (`busy`, retry after the hinted
 //! delay) from hard failures (`error`).
 
+use pc_telemetry::trace::{Stage, Tracer};
 use pc_telemetry::{JsonObject, JsonValue};
 use probable_cause::ErrorString;
 use std::fmt;
@@ -237,6 +238,37 @@ pub struct MetricsBody {
     pub slow_requests: u64,
 }
 
+impl MetricsBody {
+    /// A tier's live metrics: latency quantiles for every op of `tracer`
+    /// that has seen traffic, the tier's `queue_depth`, and its
+    /// slow-request count.
+    pub fn from_tracer(tracer: &Tracer, queue_depth: u64) -> Self {
+        let ops = tracer
+            .snapshot()
+            .into_iter()
+            .filter_map(|(op, snap)| {
+                if snap.count() == 0 {
+                    return None;
+                }
+                let max_ns = snap.max().unwrap_or(0);
+                Some(OpLatency {
+                    op: op.to_string(),
+                    count: snap.count(),
+                    p50_ns: snap.quantile(0.50).unwrap_or(max_ns),
+                    p90_ns: snap.quantile(0.90).unwrap_or(max_ns),
+                    p99_ns: snap.quantile(0.99).unwrap_or(max_ns),
+                    max_ns,
+                })
+            })
+            .collect();
+        Self {
+            ops,
+            queue_depth,
+            slow_requests: tracer.slow_requests(),
+        }
+    }
+}
+
 /// Per-stage latency breakdown attached to a [`Response::Traced`] wrapper.
 ///
 /// `other_ns` is the unattributed remainder, so the stage fields always sum
@@ -282,6 +314,28 @@ pub struct TraceRecord {
     pub total_ns: u64,
     /// Whether the request breached the slow threshold.
     pub slow: bool,
+}
+
+impl TraceRecord {
+    /// The flight recorder of `tracer` as wire records, oldest first.
+    pub fn recent(tracer: &Tracer) -> Vec<Self> {
+        tracer
+            .recent_traces()
+            .into_iter()
+            .map(|t| Self {
+                trace_id: t.trace_id,
+                op: t.op.to_string(),
+                seq: t.seq,
+                decode_ns: t.stage_ns(Stage::Decode),
+                queue_wait_ns: t.stage_ns(Stage::QueueWait),
+                score_ns: t.stage_ns(Stage::Score),
+                encode_ns: t.stage_ns(Stage::Encode),
+                write_ns: t.stage_ns(Stage::Write),
+                total_ns: t.total_ns,
+                slow: t.slow,
+            })
+            .collect()
+    }
 }
 
 /// A decoded server response.

@@ -46,7 +46,9 @@
 use crate::client::{ClientError, ConnectOptions, ServiceClient};
 use crate::codec::{self, CodecError};
 use crate::pool::apply_trace;
-use crate::protocol::{self, NodeStatus, ReplayEntry, Request, Response, RingStatusBody};
+use crate::protocol::{
+    self, MetricsBody, NodeStatus, ReplayEntry, Request, Response, RingStatusBody, TraceRecord,
+};
 use crate::ring::{key_of, HealthPolicy, Journal, NodeHealth, Ring, RingConfig};
 use crate::server::count_request;
 use parking_lot::Mutex as PlMutex;
@@ -446,54 +448,6 @@ impl RouterShared {
                 })
                 .collect(),
         }
-    }
-
-    /// Router-local metrics from its own tracer (queue depth is always 0 —
-    /// the router has no submission queue).
-    fn metrics(&self) -> protocol::MetricsBody {
-        let ops = self
-            .tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(op, snap)| {
-                if snap.count() == 0 {
-                    return None;
-                }
-                let max_ns = snap.max().unwrap_or(0);
-                Some(protocol::OpLatency {
-                    op: op.to_string(),
-                    count: snap.count(),
-                    p50_ns: snap.quantile(0.50).unwrap_or(max_ns),
-                    p90_ns: snap.quantile(0.90).unwrap_or(max_ns),
-                    p99_ns: snap.quantile(0.99).unwrap_or(max_ns),
-                    max_ns,
-                })
-            })
-            .collect();
-        protocol::MetricsBody {
-            ops,
-            queue_depth: 0,
-            slow_requests: self.tracer.slow_requests(),
-        }
-    }
-
-    fn trace_dump(&self) -> Vec<protocol::TraceRecord> {
-        self.tracer
-            .recent_traces()
-            .into_iter()
-            .map(|t| protocol::TraceRecord {
-                trace_id: t.trace_id,
-                op: t.op.to_string(),
-                seq: t.seq,
-                decode_ns: t.stage_ns(Stage::Decode),
-                queue_wait_ns: t.stage_ns(Stage::QueueWait),
-                score_ns: t.stage_ns(Stage::Score),
-                encode_ns: t.stage_ns(Stage::Encode),
-                write_ns: t.stage_ns(Stage::Write),
-                total_ns: t.total_ns,
-                slow: t.slow,
-            })
-            .collect()
     }
 
     /// Heals a down replica that has earned rejoin: replay its journal,
@@ -908,9 +862,10 @@ fn route_request(shared: &RouterShared, request: Request, origin: u64) -> Respon
     match request {
         Request::Ping => Response::Pong,
         Request::RingStatus => Response::RingStatus(shared.ring_status()),
-        Request::Metrics => Response::Metrics(shared.metrics()),
+        // The router has no submission queue, so its queue depth is 0.
+        Request::Metrics => Response::Metrics(MetricsBody::from_tracer(&shared.tracer, 0)),
         Request::TraceDump => Response::TraceDump {
-            traces: shared.trace_dump(),
+            traces: TraceRecord::recent(&shared.tracer),
         },
         Request::Shutdown => Response::ShuttingDown,
         Request::Replay { .. } => Response::Error {

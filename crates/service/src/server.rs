@@ -5,11 +5,12 @@
 //!
 //! ```text
 //! pc-accept ── spawns ──▶ pc-conn-N (reader)  ⇄  writer thread
-//!                                 │ try_submit
-//!                                 ▼
-//!                    SubmissionQueue (bounded)
-//!                                 │ pop_batch
-//!                         pc-dispatcher ── identify runs ──▶ kernel pool
+//!                                 │ try_submit         ▲
+//!                                 ▼                    │ reply
+//!                    SubmissionQueue (bounded)         │
+//!                                 │ pop_batch          │
+//!                          pc-dispatcher ──────────────┘
+//!                  (one job at a time, in admission order)
 //! ```
 //!
 //! Shutdown can be triggered three ways — a `shutdown` request on any
@@ -29,7 +30,7 @@
 
 use crate::codec::{self, CodecError, ReadGuard};
 use crate::pool::{apply_trace, Job, Outbound, Pool, PoolMetrics, SubmissionQueue, SubmitError};
-use crate::protocol::{self, MetricsBody, OpLatency, Request, Response, StatsBody, TraceRecord};
+use crate::protocol::{self, MetricsBody, Request, Response, StatsBody, TraceRecord};
 use crate::store::{ShardedStore, StoreConfig};
 use pc_telemetry::counter;
 use pc_telemetry::trace::{Stage, StageClock, Tracer};
@@ -52,8 +53,6 @@ pub struct ServerConfig {
     pub store: StoreConfig,
     /// Submission-queue capacity; submissions beyond it answer `busy`.
     pub queue_capacity: usize,
-    /// Maximum jobs the dispatcher drains per wakeup.
-    pub batch_size: usize,
     /// Per-frame payload cap.
     pub max_frame_bytes: u32,
     /// Back-off hint attached to `busy` responses.
@@ -92,7 +91,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             store: StoreConfig::default(),
             queue_capacity: 1024,
-            batch_size: 32,
             max_frame_bytes: codec::MAX_FRAME_BYTES,
             retry_after_ms: 10,
             db_path: None,
@@ -116,6 +114,9 @@ impl ServerConfig {
         }
     }
 }
+
+/// Jobs the dispatcher takes from the queue per wakeup.
+const DISPATCH_BATCH: usize = 32;
 
 /// State shared between the accept loop, connections, and the handle.
 struct Shared {
@@ -151,55 +152,6 @@ impl Shared {
             distance_evals: self.store.distance_evals(),
             worker_panics: self.pool_metrics.worker_panics(),
         }
-    }
-
-    /// Live serving metrics: per-op latency quantiles for every op that has
-    /// seen traffic, plus queue depth and slow-request count.
-    fn metrics(&self) -> MetricsBody {
-        let ops = self
-            .tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(op, snap)| {
-                if snap.count() == 0 {
-                    return None;
-                }
-                let max_ns = snap.max().unwrap_or(0);
-                Some(OpLatency {
-                    op: op.to_string(),
-                    count: snap.count(),
-                    p50_ns: snap.quantile(0.50).unwrap_or(max_ns),
-                    p90_ns: snap.quantile(0.90).unwrap_or(max_ns),
-                    p99_ns: snap.quantile(0.99).unwrap_or(max_ns),
-                    max_ns,
-                })
-            })
-            .collect();
-        MetricsBody {
-            ops,
-            queue_depth: self.queue.depth() as u64,
-            slow_requests: self.tracer.slow_requests(),
-        }
-    }
-
-    /// The flight recorder's contents as wire records, oldest first.
-    fn trace_dump(&self) -> Vec<TraceRecord> {
-        self.tracer
-            .recent_traces()
-            .into_iter()
-            .map(|t| TraceRecord {
-                trace_id: t.trace_id,
-                op: t.op.to_string(),
-                seq: t.seq,
-                decode_ns: t.stage_ns(Stage::Decode),
-                queue_wait_ns: t.stage_ns(Stage::QueueWait),
-                score_ns: t.stage_ns(Stage::Score),
-                encode_ns: t.stage_ns(Stage::Encode),
-                write_ns: t.stage_ns(Stage::Write),
-                total_ns: t.total_ns,
-                slow: t.slow,
-            })
-            .collect()
     }
 
     /// This replica's self view for a `ring-status` request: identity only;
@@ -337,7 +289,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let pool = Pool::spawn(
         Arc::clone(&store),
         Arc::clone(&queue),
-        config.batch_size,
+        DISPATCH_BATCH,
         Arc::clone(&tracer),
     );
     let shared = Arc::new(Shared {
@@ -466,14 +418,21 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
     loop {
         let frame = {
             let _span = pc_telemetry::time!("service.decode");
-            if pc_faults::fail_point("wire.read") {
-                // A read-side fault is an incident: capture the traces that
-                // led up to it before the connection dies.
-                shared.tracer.dump("fault_injected");
-                Err(CodecError::Io(pc_faults::injected_io("wire.read")))
-            } else {
-                codec::read_frame_guarded(&mut reader, shared.config.max_frame_bytes, guard)
-            }
+            // The read fault strikes a frame that arrived, never the wait
+            // for one: a reader looping back after its last request must not
+            // spend a fault meant for a request.
+            codec::read_frame_guarded(&mut reader, shared.config.max_frame_bytes, guard).and_then(
+                |value| {
+                    if pc_faults::fail_point("wire.read") {
+                        // A read-side fault is an incident: capture the
+                        // traces that led up to it before the connection dies.
+                        shared.tracer.dump("fault_injected");
+                        Err(CodecError::Io(pc_faults::injected_io("wire.read")))
+                    } else {
+                        Ok(value)
+                    }
+                },
+            )
         };
         let value = match frame {
             Ok(value) => value,
@@ -717,9 +676,12 @@ fn submit(shared: &Shared, reply: &mpsc::Sender<Outbound>, seq: u64, job: Job) {
 /// here covers every reply this connection's client has already received.
 fn render_snapshot(shared: &Shared, out: &mut Outbound) {
     let response = match out.response {
-        Response::Metrics(_) => Response::Metrics(shared.metrics()),
+        Response::Metrics(_) => Response::Metrics(MetricsBody::from_tracer(
+            &shared.tracer,
+            shared.queue.depth() as u64,
+        )),
         Response::TraceDump { .. } => Response::TraceDump {
-            traces: shared.trace_dump(),
+            traces: TraceRecord::recent(&shared.tracer),
         },
         _ => return,
     };

@@ -8,16 +8,15 @@
 //! every `characterize` re-signs the entry it writes. An identify asks the
 //! index for the ids sharing a band key with the query, so only those
 //! pay full modified-Jaccard distance, and scores them through
-//! [`FingerprintDb::closest_among`] under the database's read lock; the
-//! dispatcher (see [`crate::pool`]) runs many identifies side by side on
-//! the kernel pool. A cluster-ingest is one [`ClusterBook::ingest`]: the
-//! output is expanded to a dense view once and each cluster's bit test
-//! stops at the threshold decision. Mutations (characterize,
-//! cluster-ingest) are serialized by the dispatcher and take the write
-//! locks they need.
+//! [`FingerprintDb::closest_among`] under the database's read lock, on the
+//! dispatcher's thread (see [`crate::pool`]). A cluster-ingest is one
+//! [`ClusterBook::ingest`]: the output is expanded to a dense view once and
+//! each cluster's bit test stops at the threshold decision. Mutations
+//! (characterize, cluster-ingest) are serialized by the dispatcher and take
+//! the write locks they need.
 
 use parking_lot::{Mutex, RwLock};
-use pc_kernels::{MetricKind, Parallelism};
+use pc_kernels::MetricKind;
 use pc_telemetry::counter;
 use probable_cause::persistence::{self, DbIoError};
 use probable_cause::{
@@ -282,10 +281,8 @@ impl ShardedStore {
         if let Some(&id) = ids.iter().find(|&&id| id >= db.len()) {
             return Err(StoreError::MissingEntry { id });
         }
-        // LSH shortlists a handful of candidates, and the dispatcher already
-        // scores identifies side by side on the kernel pool.
         let best = db
-            .closest_among(&ids, errors, Parallelism::single())
+            .closest_among(&ids, errors)
             .map(|(label, d)| (label.clone(), d));
         self.distance_evals
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
@@ -628,7 +625,7 @@ mod tests {
         });
         store.cluster_ingest(&es(&[1, 2, 3, 4])).unwrap();
         store.cluster_ingest(&es(&[100, 200, 300, 400])).unwrap();
-        let before = store.clusters.lock().clusters().to_vec();
+        let before = store.clusters.lock().clusters();
         let evals = store.distance_evals();
         // Positions are compared verbatim, so a wider string can match.
         let wider = ErrorString::from_sorted(vec![100, 200, 300, 400], 8192).unwrap();
@@ -640,7 +637,7 @@ mod tests {
         );
         assert_eq!(store.distance_evals() - evals, 2, "both clusters compared");
         assert_eq!(store.cluster_count(), 2);
-        assert_eq!(store.clusters.lock().clusters(), before.as_slice());
+        assert_eq!(store.clusters.lock().clusters(), before);
         // The book keeps serving: a matching output refines cluster 1.
         assert_eq!(
             store.cluster_ingest(&es(&[100, 200, 300, 401])).unwrap(),

@@ -45,9 +45,8 @@ fn hammer_loses_nothing_and_matches_the_sequential_reference() {
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },
-        // A 2-deep queue with tiny batches under 8 threads forces `busy`.
+        // A 2-deep queue under 8 client threads forces `busy`.
         queue_capacity: 2,
-        batch_size: 2,
         retry_after_ms: 1,
         ..ServerConfig::default()
     })

@@ -1,11 +1,12 @@
 //! The serving path against its oracles, driven through [`Pool`] directly:
-//! mixed identify / characterize / cluster-ingest traffic answered at 1, 2
-//! and 4 kernel threads must equal a serial [`FingerprintDb`] replay in
-//! admission order; a scoring panic fails only its own request; and a
-//! store opened from a saved database and index adopts the index without
-//! re-signing a single entry. Cluster-ingests are checked against
-//! Algorithm 4's scalar per-pair path ([`ScalarPc`]), not the
-//! `ClusterBook` the store runs.
+//! mixed identify / characterize / cluster-ingest traffic, answered under
+//! kernel thread overrides of 1, 2 and 4 (the dispatcher answers every job
+//! on its own thread, so the override must not matter), must equal a
+//! serial [`FingerprintDb`] replay in admission order; a scoring panic
+//! fails only its own request; and a store opened from a saved database
+//! and index adopts the index without re-signing a single entry.
+//! Cluster-ingests are checked against Algorithm 4's scalar per-pair path
+//! ([`ScalarPc`]), not the `ClusterBook` the store runs.
 //!
 //! The fault registry, the kernel thread override and the telemetry
 //! counters are process-wide, so every test here serializes on one mutex.
@@ -274,8 +275,8 @@ fn pool_answers_equal_the_serial_db_oracle_at_every_thread_count() {
         let (tx, rx) = mpsc::channel();
         let (queued, live) = requests.split_at(requests.len() / 2);
         // Half the traffic waits in the queue before the dispatcher starts,
-        // so it drains in mixed batches holding runs of identifies; the rest
-        // arrives while it serves.
+        // so it drains in mixed batches of identifies and mutations; the
+        // rest arrives while it serves.
         for (seq, request) in queued.iter().enumerate() {
             assert!(queue.try_submit(job(seq as u64, request, &tx)).is_ok());
         }
@@ -401,8 +402,9 @@ fn a_scoring_panic_fails_only_its_own_identify() {
     let identify = |c: u64| Request::Identify {
         errors: es(chip_bits(c)),
     };
-    // Four identifies queued before the dispatcher starts: one batch, one
-    // run, scored side by side.
+    // Four identifies queued before the dispatcher starts: one batch,
+    // answered one at a time in admission order, so the second fault-site
+    // call is exactly seq 1's.
     for seq in 0..4 {
         assert!(queue.try_submit(job(seq, &identify(seq), &tx)).is_ok());
     }
@@ -430,11 +432,7 @@ fn a_scoring_panic_fails_only_its_own_identify() {
             other => panic!("identify {} answered {other:?}", out.seq),
         })
         .collect();
-    assert_eq!(
-        failed.len(),
-        1,
-        "exactly the second probe fails: {failed:?}"
-    );
+    assert_eq!(failed, [1], "exactly the second probe fails");
     assert_eq!(pool.metrics().worker_panics(), 1);
 
     // The dispatcher keeps serving.

@@ -37,9 +37,10 @@ use std::time::Instant;
 pub enum Stage {
     /// Wire frame → typed request.
     Decode,
-    /// Admission to the submission queue → dispatcher pickup.
+    /// Admission to the submission queue → the dispatcher pops it off.
     QueueWait,
-    /// Scoring / mutation work (the dispatcher and its kernel-pool tasks).
+    /// Pop → response built: scoring / mutation work on the dispatcher,
+    /// after the jobs ahead of it in the same popped batch.
     Score,
     /// Typed response → wire frame (includes writer-queue wait).
     Encode,

@@ -131,9 +131,9 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "U003",
         name: "unsafe-outside-allowlist",
-        summary: "`unsafe` code may only appear in the audited kernel modules \
-                  (crates/kernels/src/pool.rs, crates/kernels/src/simd.rs) and the \
-                  counting-allocator tests (crates/kernels/tests/alloc_discipline.rs, \
+        summary: "`unsafe` code may only appear in the audited SIMD kernel module \
+                  (crates/kernels/src/simd.rs) and the counting-allocator tests \
+                  (crates/kernels/tests/alloc_discipline.rs, \
                   crates/service/tests/checkpoint_alloc.rs); everything else \
                   stays forbid(unsafe_code)-clean",
     },

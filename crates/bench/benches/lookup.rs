@@ -7,12 +7,12 @@
 //!
 //! The `kernels` group compares batch scoring representations at the same
 //! scales: per-pair scalar merges over the sparse `Vec<u64>` strings versus
-//! the packed popcount kernels of `pc-kernels`, single-threaded and with the
-//! persistent worker pool. The same comparison also runs outside Criterion
+//! the packed popcount kernels of `pc-kernels`, single-threaded and across
+//! scoped threads. The same comparison also runs outside Criterion
 //! and lands in `BENCH_kernels.json` (see [`emit_kernels_json`]), the record
 //! CI gates on:
 //!
-//! - `parallel_speedup_ok` — the 10k-chip scan at 4 pool threads is at least
+//! - `parallel_speedup_ok` — the 10k-chip scan on 4 threads is at least
 //!   2.5x the single-threaded packed scan (enforced only on >= 4 cores; the
 //!   `parallel_gate` field says whether it was enforced or waived);
 //! - `simd_matches_scalar` — packed scoring (sparse, dense, and mixed

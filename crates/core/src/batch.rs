@@ -35,8 +35,8 @@ pub fn score_batch<M: DistanceMetric + ?Sized>(
 }
 
 /// [`score_batch`] with an explicit [`Parallelism`]. The output is
-/// independent of the thread count (deterministic chunking in
-/// [`pc_kernels::pool`]).
+/// independent of the thread count ([`pc_kernels::map_chunked`] fills each
+/// chunk's own slots, on scoped threads).
 pub fn score_batch_with<M: DistanceMetric + ?Sized>(
     entries: &[ErrorString],
     probe: &ErrorString,

@@ -2,9 +2,7 @@
 
 use crate::batch::{add_comparisons, Parallelism};
 use crate::{DistanceMetric, ErrorString, Fingerprint, LshIndex};
-use parking_lot::RwLock;
 use pc_kernels::PackedErrors;
-use std::sync::Arc;
 
 /// A database of labelled device fingerprints with threshold identification —
 /// **Algorithm 2**.
@@ -116,8 +114,8 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
     }
 
     /// Builds an [`LshIndex`] over every stored fingerprint (entry id =
-    /// insertion order), unpacking and signing each on the kernel pool; the
-    /// index does not depend on the thread count.
+    /// insertion order), unpacking and signing each across scoped threads
+    /// ([`Parallelism::auto`]); the index does not depend on the thread count.
     pub fn build_index(&self, bands: usize, rows_per_band: usize, seed: u64) -> LshIndex {
         // The tasks borrow only the packed strings: labels need not be `Sync`.
         let packed = &self.packed;
@@ -129,29 +127,6 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
             |id| ErrorString::from_packed(&packed[id]),
             Parallelism::auto(),
         )
-    }
-
-    /// Distances from `error_string` to every stored fingerprint, in
-    /// insertion order (for histogram figures). Takes the packed popcount
-    /// path when the metric reduces to a [`crate::MetricKind`] (bit-for-bit
-    /// equal to scalar scoring), falling back to per-pair scalar distances
-    /// for custom metrics.
-    pub fn distances(&self, error_string: &ErrorString) -> Vec<f64> {
-        match self.metric.kind() {
-            Some(kind) => {
-                add_comparisons(kind, self.packed.len() as u64);
-                pc_kernels::score_batch(
-                    &self.packed,
-                    &error_string.to_packed(),
-                    kind,
-                    Parallelism::auto(),
-                )
-            }
-            None => self
-                .iter()
-                .map(|(_, fp)| self.metric.distance(fp.errors(), error_string))
-                .collect(),
-        }
     }
 
     /// Distances for the entry ids in `ids` (same order) — the candidate-set
@@ -218,7 +193,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
 
     /// Identifies every probe: `out[i]` is what
     /// [`identify_with_distance`](FingerprintDb::identify_with_distance)
-    /// returns for `probes[i]`, with probes scored across worker threads in
+    /// returns for `probes[i]`, with probes scored across scoped threads in
     /// deterministic chunks — the result is identical for every thread
     /// count. This is the bulk shape of fleet-scale matching (many captured
     /// outputs against one database).
@@ -244,11 +219,11 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let _span = pc_telemetry::time!("core.db.identify_batch");
         let all: Vec<usize> = (0..self.entries.len()).collect();
         // One probe per chunk: each item is a full candidate scan (µs–ms of
-        // work), so the atomic chunk claim is noise and per-item claims give
-        // the pool the best balance — the old fixed chunk of 16 ran small
+        // work), so the chunk claim is noise and per-item claims give the
+        // threads the best balance — the old fixed chunk of 16 ran small
         // batches (< 16 probes) entirely inline.
         let results = pc_kernels::map_chunked(probes.len(), 1, par, |i| {
-            // Each worker scores its probe single-threaded; parallelism
+            // Each thread scores its probe single-threaded; parallelism
             // lives in the probe dimension.
             self.closest_among(&all, &probes[i])
                 .filter(|&(_, d)| d < self.threshold)
@@ -285,11 +260,6 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         best
     }
 }
-
-/// A cheaply clonable, thread-safe handle to a [`FingerprintDb`], used by the
-/// experiment harnesses to identify outputs from worker threads while the
-/// characterization thread is still inserting.
-pub type SharedFingerprintDb<L, M = crate::PcDistance> = Arc<RwLock<FingerprintDb<L, M>>>;
 
 #[cfg(test)]
 mod tests {
@@ -403,29 +373,6 @@ mod tests {
         let db: FingerprintDb<&str> = FingerprintDb::new(PcDistance::new(), 0.25);
         assert!(db.identify_best(&es(&[1])).is_none());
         assert!(db.is_empty());
-    }
-
-    #[test]
-    fn distances_in_insertion_order() {
-        let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
-        db.insert(1, fp(&[1, 2]));
-        db.insert(2, fp(&[3, 4]));
-        let d = db.distances(&es(&[1, 2]));
-        assert_eq!(d.len(), 2);
-        assert!(d[0] < d[1]);
-    }
-
-    #[test]
-    fn shared_db_cross_thread() {
-        let db: SharedFingerprintDb<String> =
-            Arc::new(RwLock::new(FingerprintDb::new(PcDistance::new(), 0.3)));
-        let writer = db.clone();
-        std::thread::spawn(move || {
-            writer.write().insert("x".to_string(), fp(&[5, 6, 7]));
-        })
-        .join()
-        .unwrap();
-        assert_eq!(db.read().identify(&es(&[5, 6, 7])), Some(&"x".to_string()));
     }
 
     #[test]

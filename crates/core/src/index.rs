@@ -306,8 +306,8 @@ impl LshIndex {
         index
     }
 
-    /// Signs `n` sets, where `set(i)` builds the one for id `i`, on the
-    /// kernel pool into a new index over ids `0..n`. The result does not
+    /// Signs `n` sets, where `set(i)` builds the one for id `i`, across
+    /// scoped threads into a new index over ids `0..n`. The result does not
     /// depend on the thread count.
     pub(crate) fn build(
         bands: usize,

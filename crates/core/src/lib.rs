@@ -91,7 +91,7 @@ pub use algorithms::{
 pub use attacker::{Eavesdropper, SupplyChainAttacker};
 pub use batch::{MetricKind, Parallelism};
 pub use bits::{BitStringError, ErrorString};
-pub use db::{FingerprintDb, SharedFingerprintDb};
+pub use db::FingerprintDb;
 pub use distance::{DistanceMetric, HammingDistance, JaccardDistance, PcDistance};
 pub use fingerprint::Fingerprint;
 pub use index::LshIndex;

@@ -25,19 +25,18 @@
 //!   the exact threshold bound [`MetricKind::min_intersection`] or can no
 //!   longer reach it. [`distance_packed`], the pairwise merge, is for
 //!   one-off pairs.
-//! - [`pool`]: a deterministic chunked thread pool over persistent workers
-//!   (spawned once per process, parked between batches); results are
-//!   independent of the thread count by construction.
+//! - [`pool`]: deterministic chunked parallelism over scoped threads that
+//!   live only while a call runs; results are independent of the thread
+//!   count by construction.
 //! - [`simd`]: runtime-dispatched AVX2+POPCNT / portable-`u64x4` word
 //!   kernels under the dense-block counts, bit-for-bit equal to scalar.
 //!
 //! The crate depends on nothing above `std`, so every layer of the workspace
 //! (core, service, experiments, benches) can sit on top of it.
 //!
-//! `unsafe` is denied crate-wide except in the two modules whose job it is
-//! (`pool`'s lifetime-erased job handoff and disjoint output writes,
-//! `simd`'s feature-gated intrinsics); every site carries a `SAFETY:`
-//! comment and `pc analyze` lint U003 holds the allowlist.
+//! `unsafe` is denied crate-wide except in `simd`, whose feature-gated
+//! intrinsics are its job; every site carries a `SAFETY:` comment and
+//! `pc analyze` lint U003 holds the allowlist.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -46,7 +45,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod packed;
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod sched;
 mod score;

@@ -1,6 +1,6 @@
 //! A deterministic schedule-exploring harness (mini-loom).
 //!
-//! The pool's submit/park/panic protocol and the router's
+//! `map_chunked`'s claim/panic paths and the router's
 //! journal/checkpoint/retract protocol are tested under *seeded schedule
 //! perturbation*: hot paths carry named [`yield_point`]s that cost one
 //! relaxed atomic load when disarmed (the `pc_faults::fail_point`
@@ -208,8 +208,9 @@ mod tests {
 
     // One sequential test: arming is process-global, so splitting the
     // armed and disarmed assertions across #[test] fns would race under
-    // the parallel test runner. Other tests in this binary hit the pool's
-    // yield points meanwhile, so it asserts only on its own sites.
+    // the parallel test runner. Other tests in this binary hit
+    // `map_chunked`'s yield point meanwhile, so it asserts only on its own
+    // sites.
     #[test]
     fn armed_schedule_counts_steps_and_disarms_on_drop() {
         {

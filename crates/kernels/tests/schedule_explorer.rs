@@ -1,6 +1,6 @@
-//! Schedule exploration of the pool's submit/park/panic/nested-inline
-//! protocol: 200 seeded schedules perturb thread timing at the pool's
-//! yield points, and every schedule must produce byte-identical outputs
+//! Schedule exploration of `map_chunked`'s claim/panic/nested-inline
+//! paths: 200 seeded schedules perturb thread timing at the chunk-claim
+//! yield point, and every schedule must produce byte-identical outputs
 //! with zero deadlocks. Deterministic: no wall clock, no real timeouts —
 //! the watchdog is a bounded budget of spin-yield polls.
 
@@ -14,14 +14,8 @@ const SEEDS: u64 = 200;
 /// Poll budget per schedule. Every poll is one `yield_now`; a healthy
 /// run finishes in a few thousand.
 const BUDGET: usize = 20_000_000;
-/// The pool yield points every schedule must reach.
-const SITES: [&str; 5] = [
-    "pool.submit",
-    "pool.installed",
-    "pool.work",
-    "pool.claim",
-    "pool.done",
-];
+/// The yield points every schedule must reach.
+const SITES: [&str; 1] = ["pool.claim"];
 
 /// The task function every workload maps — pure, so the expected output
 /// is computable inline.
@@ -29,26 +23,26 @@ fn score(i: usize) -> u64 {
     (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xabcd
 }
 
-/// One full workout of the pool protocol. Returns the concatenated
+/// One full workout of `map_chunked`. Returns the concatenated
 /// results; panics (which the harness must propagate exactly once) are
 /// exercised and swallowed inside.
 fn workout() -> Vec<u64> {
     let par = Parallelism::new(4);
     let mut out = Vec::new();
 
-    // Plain fan-out: submit/install/claim/done.
+    // Plain fan-out: spawn, claim, join.
     out.extend(map_chunked(64, 8, par, score));
 
-    // Nested submission: the inner call sees IN_POOL and runs inline —
-    // the protocol's re-entrancy path.
+    // Nested call: the inner call sees IN_MAP and runs inline — the
+    // re-entrancy path.
     out.extend(map_chunked(16, 4, par, |i| {
         map_chunked(8, 2, par, score)
             .into_iter()
             .fold(score(i), u64::wrapping_add)
     }));
 
-    // Panic path: one task panics; the pool must propagate it exactly
-    // once after all siblings finish, and stay usable afterwards.
+    // Panic path: one task panics; it must propagate exactly once after
+    // all siblings finish, and later calls must still work.
     let panicked = catch_unwind(AssertUnwindSafe(|| {
         map_chunked(32, 4, par, |i| {
             if i == 16 {
@@ -59,8 +53,8 @@ fn workout() -> Vec<u64> {
     }));
     out.push(u64::from(panicked.is_err()));
 
-    // Concurrent submitters: a second and third thread race this one for
-    // the single job slot (the queue_cv wait path).
+    // Concurrent callers: two threads map at once, each with its own
+    // helpers and its own claim lock.
     let (a, b) = thread::scope(|s| {
         let a = s.spawn(|| map_chunked(48, 8, par, score));
         let b = s.spawn(|| map_chunked(48, 6, par, |i| score(i).rotate_left(7)));
@@ -72,9 +66,9 @@ fn workout() -> Vec<u64> {
     out.extend(a);
     out.extend(b);
 
-    // A crew that must really form: each of two tasks waits for the other
-    // to start, so the caller alone cannot finish the job and a worker has
-    // to join it.
+    // Helpers that must really run: each of two tasks waits for the other
+    // to start, so the caller alone cannot finish the call and a helper has
+    // to claim a chunk.
     let started = AtomicUsize::new(0);
     out.extend(map_chunked(2, 1, par, |i| {
         started.fetch_add(1, Ordering::SeqCst);
@@ -84,7 +78,7 @@ fn workout() -> Vec<u64> {
         score(i)
     }));
 
-    // And the pool still works after all of the above.
+    // And a plain call still works after all of the above.
     out.extend(map_chunked(8, 2, par, score));
     out
 }
@@ -104,7 +98,7 @@ fn pool_protocol_is_schedule_independent() {
         let sched = Schedule::arm(seed);
         let got = run_bounded(BUDGET, workout).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         // The hooks must actually fire: a site the armed schedule never
-        // reached is a protocol step the explorer is not perturbing.
+        // reached is a step the explorer is not perturbing.
         for site in SITES {
             assert!(site_steps(site) > 0, "seed {seed}: {site} never fired");
         }

@@ -2,8 +2,8 @@
 //! bit-for-bit with per-pair [`pc_kernels::distance_packed`] for every
 //! metric, at every thread count, on the id shapes LSH-pruned
 //! identification actually produces — empty candidate lists, duplicated
-//! ids, and lengths that straddle the adaptive chunk boundaries of the
-//! worker pool.
+//! ids, and lengths that straddle `map_chunked`'s adaptive chunk
+//! boundaries.
 
 use pc_kernels::{distance_packed, score_subset, MetricKind, PackedErrors, Parallelism};
 use proptest::prelude::*;

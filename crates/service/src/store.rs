@@ -282,6 +282,7 @@ impl ShardedStore {
             return Err(StoreError::MissingEntry { id });
         }
         let best = db
+            // pc-allow: C003 — `closest_among` scores on this thread with `Parallelism::single()`, so `map_chunked` runs inline and joins no thread
             .closest_among(&ids, errors)
             .map(|(label, d)| (label.clone(), d));
         self.distance_evals

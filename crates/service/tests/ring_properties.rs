@@ -111,7 +111,7 @@ proptest! {
     }
 }
 
-/// Routing must not depend on the kernel thread pool: the ring hashes with
+/// Routing must not depend on the kernel thread budget: the ring hashes with
 /// `mix64` only, so the same topology yields the same bytes whatever
 /// `PC_KERNEL_THREADS` says — the determinism a restarted router relies on.
 #[test]
@@ -131,7 +131,7 @@ fn routing_is_byte_identical_across_thread_counts_and_restarts() {
     };
     let baseline = fingerprint(&Ring::new(&nodes, &config));
     // The env variable is parsed once per process, so mid-process budget
-    // changes go through the kernel pool's test override hook.
+    // changes go through the kernels' test override hook.
     for threads in [1usize, 2, 8] {
         pc_kernels::set_auto_thread_override(Some(threads));
         // A fresh construction models a process restart under a different

@@ -2,8 +2,9 @@
 //!
 //! A [`RunManifest`] is the machine-readable record of one experiment run:
 //! what was run (experiment name, toolkit version, git revision), how it was
-//! parameterized (seed, knobs), what happened (counter snapshot, span
-//! summaries), and how long it took (per-phase wall clock).
+//! parameterized (seed, knobs), what happened (how much each counter grew
+//! since the manifest was started, span summaries), and how long it took
+//! (per-phase wall clock).
 //!
 //! Reproducibility contract: two runs of the same binary with the same seed
 //! produce manifests that are **byte-identical outside the `"timing"`
@@ -13,6 +14,7 @@
 //! comparable portion directly.
 
 use crate::json::{JsonObject, JsonValue};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::process::Command;
@@ -30,6 +32,9 @@ pub struct RunManifest {
     analysis: Option<(String, String)>,
     kernels: Option<(u64, String)>,
     knobs: JsonObject,
+    /// The global collector's counters when the manifest was started, so a
+    /// process that runs several experiments reports each one's own counts.
+    counters_at_start: BTreeMap<String, u64>,
     phases: Vec<(String, f64)>,
     open_phase: Option<(String, Instant)>,
     started_unix_ms: u64,
@@ -38,7 +43,7 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Starts a manifest for `experiment`; the total wall clock runs from
-    /// this call.
+    /// this call, and so do the counter growths it reports.
     pub fn new(experiment: &str) -> Self {
         Self {
             experiment: experiment.to_string(),
@@ -46,6 +51,9 @@ impl RunManifest {
             analysis: None,
             kernels: None,
             knobs: JsonObject::new(),
+            counters_at_start: crate::global()
+                .map(|collector| collector.counters_snapshot())
+                .unwrap_or_default(),
             phases: Vec::new(),
             open_phase: None,
             started_unix_ms: SystemTime::now()
@@ -71,9 +79,10 @@ impl RunManifest {
         self
     }
 
-    /// Records the compute-kernel provenance of the run: the scoring pool's
-    /// thread budget and which SIMD tier the popcount kernels dispatched to
-    /// (`"avx2+popcnt"` or `"portable-u64x4"`). Fixed for a given machine
+    /// Records the compute-kernel provenance of the run: the thread budget
+    /// bulk kernel calls may use (`PC_KERNEL_THREADS`, else the machine's
+    /// available parallelism) and which SIMD tier the popcount kernels
+    /// dispatched to (`"avx2+popcnt"` or `"portable-u64x4"`). Fixed for a given machine
     /// and environment, so it lives in the comparable portion — results
     /// never depend on it (kernels are bit-for-bit across tiers and thread
     /// counts), but a perf regression in an archived manifest needs it.
@@ -106,7 +115,10 @@ impl RunManifest {
     }
 
     /// The deterministic portion of the manifest: everything except
-    /// `"timing"`. Byte-identical across same-seed runs.
+    /// `"timing"`. Byte-identical across same-seed runs. `"counters"` holds
+    /// how much each counter grew since [`RunManifest::new`]: a counter
+    /// registered since then counts from zero, and one that existed then
+    /// but did not move is left out.
     pub fn deterministic_json(&self) -> JsonObject {
         let mut obj = JsonObject::new();
         obj.set("schema", SCHEMA);
@@ -143,7 +155,10 @@ impl RunManifest {
         let mut counters = JsonObject::new();
         if let Some(collector) = crate::global() {
             for (name, value) in collector.counters_snapshot() {
-                counters.set(&name, value);
+                let start = self.counters_at_start.get(&name).copied();
+                if start != Some(value) {
+                    counters.set(&name, value - start.unwrap_or(0));
+                }
             }
         }
         obj.set("counters", counters);
@@ -217,6 +232,11 @@ pub fn git_describe() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Serializes the tests that read the process-wide counters against the
+    /// one that bumps them.
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     fn build(seed: u64) -> RunManifest {
         let mut m = RunManifest::new("unit");
@@ -230,6 +250,7 @@ mod tests {
 
     #[test]
     fn deterministic_portion_is_byte_identical_across_runs() {
+        let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let a = build(7).deterministic_json().to_pretty();
         let b = build(7).deterministic_json().to_pretty();
         assert_eq!(a, b);
@@ -237,10 +258,30 @@ mod tests {
 
     #[test]
     fn timing_is_the_only_nondeterministic_section() {
+        let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
         let mut full = build(7).to_json();
         assert!(full.get("timing").is_some());
         full.remove("timing");
         assert_eq!(full.to_pretty(), build(7).deterministic_json().to_pretty());
+    }
+
+    #[test]
+    fn counters_report_growth_since_the_manifest_started() {
+        let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+        crate::install();
+        crate::counter!("manifest_test.before_and_during").add(5);
+        let m = RunManifest::new("unit");
+        crate::counter!("manifest_test.before_and_during").add(3);
+        crate::counter!("manifest_test.during_only").add(2);
+        let json = m.deterministic_json();
+        let counters = match json.get("counters") {
+            Some(JsonValue::Object(counters)) => counters.clone(),
+            other => panic!("counters section missing: {other:?}"),
+        };
+        let mut want = JsonObject::new();
+        want.set("manifest_test.before_and_during", 3u64);
+        want.set("manifest_test.during_only", 2u64);
+        assert_eq!(counters.to_pretty(), want.to_pretty());
     }
 
     #[test]

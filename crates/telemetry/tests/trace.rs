@@ -1,8 +1,8 @@
 //! Tracing must never leak into the reproducibility contract.
 //!
-//! `RunManifest::deterministic_json()` embeds every counter, so any
-//! timing-dependent accounting routed through counters would make same-seed
-//! runs diverge. pc-trace therefore records exclusively into histograms,
+//! `RunManifest::deterministic_json()` embeds every counter that grew while
+//! the manifest was open, so any timing-dependent accounting routed through
+//! counters would make same-seed runs diverge. pc-trace therefore records exclusively into histograms,
 //! events, and the flight recorder — these tests pin that the deterministic
 //! portion of a manifest is byte-identical before and after heavy tracing
 //! activity, and that only the "timing" (and "analysis") sections move.

@@ -4,9 +4,9 @@
 //!
 //! The stitcher's internal maps are ordered (`BTreeMap`), so iteration order
 //! — and therefore this canonical serialization — is a pure function of the
-//! observations. The kernel pool's thread override (the in-process stand-in
-//! for `PC_KERNEL_THREADS`, which is parsed only once) pins the scoring pool
-//! so any future parallelism on the stitch path is covered too.
+//! observations. The kernels' thread override (the in-process stand-in for
+//! `PC_KERNEL_THREADS`, which is parsed only once) pins the thread budget so
+//! any future parallelism on the stitch path is covered too.
 
 use probable_cause_repro::prelude::*;
 use std::fmt::Write as _;
@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 fn stitch_and_serialize(threads: &str) -> String {
     // `PC_KERNEL_THREADS` is parsed once per process (hot paths must not
     // re-read the environment), so mid-process thread changes go through the
-    // pool's test override hook instead of `set_var`.
+    // kernels' test override hook instead of `set_var`.
     let parsed: usize = threads.parse().expect("numeric thread count");
     probable_cause::batch::set_auto_thread_override(Some(parsed));
     let mut victim = ApproxSystem::emulated(SystemConfig {

@@ -603,6 +603,36 @@ mod tests {
     }
 
     #[test]
+    fn c003_flags_a_lock_held_into_a_condvar_wait() {
+        // A store read lock held across a call chain that ends parked on
+        // another mutex's condvar: the wait releases only its own guard.
+        let found = analyze(&[
+            (
+                "crates/kernels/src/pool.rs",
+                "fn run_tasks(&self) {\n\
+                 \x20   let mut st = self.state.lock();\n\
+                 \x20   while st.pending > 0 {\n\
+                 \x20       st = self.done_cv.wait(st);\n\
+                 \x20   }\n\
+                 }\n",
+            ),
+            (
+                "crates/service/src/store.rs",
+                "fn closest_among(&self) {\n\
+                 \x20   let db = self.db.read();\n\
+                 \x20   run_tasks(n);\n\
+                 }\n",
+            ),
+        ]);
+        let c003: Vec<&CrossFinding> = found.iter().filter(|f| f.lint == "C003").collect();
+        assert_eq!(c003.len(), 1, "{found:?}");
+        assert_eq!(c003[0].file, "crates/service/src/store.rs");
+        assert_eq!(c003[0].line, 3);
+        assert!(c003[0].message.contains("thread parking"), "{:?}", c003[0]);
+        assert!(c003[0].message.contains("wait"), "{:?}", c003[0]);
+    }
+
+    #[test]
     fn c003_not_reported_outside_scope() {
         let found = analyze(&[(
             "crates/core/src/persist.rs",

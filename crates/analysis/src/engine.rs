@@ -12,9 +12,9 @@
 //!   timing (`crates/telemetry`, `crates/bench`);
 //! * **P-lints** apply to `crates/service/src` outside test context;
 //! * **U-lints** apply everywhere;
-//! * **W-lints** are cross-file: `counter!` / `time!` / `histogram!`
-//!   references (non-test) against the `COUNTERS` / `SPANS` / `HISTOGRAMS`
-//!   lists in `crates/telemetry/src/catalog.rs`, protocol variants against
+//! * **W-lints** are cross-file: `counter!` / `time!` references
+//!   (non-test) against the `COUNTERS` / `SPANS` lists in
+//!   `crates/telemetry/src/catalog.rs`, protocol variants against
 //!   `*roundtrip*` test bodies anywhere under `crates/service`, and (W004)
 //!   fault-site name literals at injection points against the `SITES`
 //!   registry in `crates/faults/src/lib.rs`;
@@ -109,18 +109,16 @@ fn rel_path(root: &Path, path: &Path) -> String {
 enum MetricKind {
     Counter,
     Span,
-    Histogram,
 }
 
 impl MetricKind {
-    const ALL: [MetricKind; 3] = [MetricKind::Counter, MetricKind::Span, MetricKind::Histogram];
+    const ALL: [MetricKind; 2] = [MetricKind::Counter, MetricKind::Span];
 
     /// How findings name this family.
     fn noun(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Span => "span",
-            MetricKind::Histogram => "histogram",
         }
     }
 
@@ -129,7 +127,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Span => "time",
-            MetricKind::Histogram => "histogram",
         }
     }
 
@@ -138,12 +135,11 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "COUNTERS",
             MetricKind::Span => "SPANS",
-            MetricKind::Histogram => "HISTOGRAMS",
         }
     }
 }
 
-/// A counter!("…") / time!("…") / histogram!("…") reference site.
+/// A counter!("…") / time!("…") reference site.
 struct MetricRef {
     kind: MetricKind,
     name: String,
@@ -581,7 +577,7 @@ impl Scanner {
     fn collect_cross_file(&mut self, rel: &str, prep: &Prep) {
         if rel == "crates/telemetry/src/catalog.rs" {
             self.cross.catalog_file_seen = true;
-            // Three declaration regions, one per list. Only the `pub const
+            // Two declaration regions, one per list. Only the `pub const
             // NAME: &[&str]` line opens a region (lookup helpers mention the
             // list tokens too); `];` closes it.
             let mut region: Option<MetricKind> = None;
@@ -715,8 +711,8 @@ impl Scanner {
         }
     }
 
-    /// W002/W003 — referenced counters / spans / histograms vs. the
-    /// catalog, each family checked against its own list.
+    /// W002/W003 — referenced counters / spans vs. the catalog, each
+    /// family checked against its own list.
     fn check_catalog(&mut self) {
         if !self.cross.catalog_file_seen && self.cross.metric_refs.is_empty() {
             return;
@@ -1062,41 +1058,40 @@ mod tests {
     }
 
     #[test]
-    fn w002_and_w003_check_spans_and_histograms_against_their_own_lists() {
+    fn w002_and_w003_check_spans_against_their_own_list() {
         let catalog = "pub const COUNTERS: &[&str] = &[\n    \"a.b\",\n];\n\
                        pub const SPANS: &[&str] = &[\n    \"s.good\",\n    \"s.rotten\",\n];\n\
-                       pub const HISTOGRAMS: &[&str] = &[\n    \"h.good\",\n];\n\
                        pub fn is_declared(n: &str) -> bool { COUNTERS.binary_search(&n).is_ok() }\n";
         let mut s = Scanner::default();
         s.scan_file("crates/telemetry/src/catalog.rs", catalog);
         s.scan_file(
             "crates/core/src/x.rs",
             "fn f() {\n    counter!(\"a.b\").add(1);\n    let _s = time!(\"s.good\");\n    \
-             histogram!(\"h.good\").record(1);\n    histogram!(\"h.stray\").record(2);\n}\n",
+             let _t = time!(\"s.stray\");\n}\n",
         );
         let found = s.finish().findings;
         assert_eq!(ids(&found), vec!["W002", "W003"]);
-        // The stray histogram is undeclared; the rotten span is unreferenced.
-        assert!(found[0].message.contains("histogram \"h.stray\""));
-        assert!(found[0].message.contains("HISTOGRAMS"));
+        // The stray span is undeclared; the rotten span is unreferenced.
+        assert!(found[0].message.contains("span \"s.stray\""));
+        assert!(found[0].message.contains("SPANS"));
         assert!(found[1].message.contains("span \"s.rotten\""));
         assert!(found[1].message.contains("time!"));
     }
 
     #[test]
-    fn a_span_name_does_not_satisfy_a_histogram_declaration() {
-        // Same name in SPANS but referenced via histogram! — each family
+    fn a_span_name_does_not_satisfy_a_counter_declaration() {
+        // Same name in SPANS but referenced via counter! — each family
         // checks against its own list, so both directions fire.
         let catalog = "pub const SPANS: &[&str] = &[\n    \"x.y\",\n];\n";
         let mut s = Scanner::default();
         s.scan_file("crates/telemetry/src/catalog.rs", catalog);
         s.scan_file(
             "crates/core/src/x.rs",
-            "fn f() { histogram!(\"x.y\").record(1); }\n",
+            "fn f() { counter!(\"x.y\").incr(); }\n",
         );
         let found = s.finish().findings;
         assert_eq!(ids(&found), vec!["W002", "W003"]);
-        assert!(found[0].message.contains("histogram \"x.y\""));
+        assert!(found[0].message.contains("counter \"x.y\""));
         assert!(found[1].message.contains("span \"x.y\""));
     }
 

@@ -13,8 +13,8 @@
 //! * **U — unsafe hygiene.** `unsafe` blocks carry `// SAFETY:` comments;
 //!   invariant-skipping constructors stay in their allowlisted homes.
 //! * **W — wire/telemetry contracts.** Protocol variants have codec
-//!   roundtrip tests; referenced counters, spans, and histograms are
-//!   declared in the catalog (and declared names stay referenced).
+//!   roundtrip tests; referenced counters and spans are declared in the
+//!   catalog (and declared names stay referenced).
 //! * **A — analyzer hygiene.** Suppression comments are well-formed.
 //!
 //! Suppression syntax (same line or the line above the finding):
@@ -62,7 +62,8 @@ pub const LINTS: &[Lint] = &[
         id: "C003",
         name: "lock-held-across-blocking",
         summary: "no lock held across wire I/O, thread parking (sleep/park/recv/\
-                  empty-paren join), fsync, or a fault-site stall — directly or \
+                  empty-paren join, or a condvar wait, which releases only its \
+                  own guard), fsync, or a fault-site stall — directly or \
                   through a resolved call",
     },
     Lint {
@@ -146,16 +147,15 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "W002",
         name: "metric-undeclared",
-        summary: "every counter!/time!/histogram!(\"…\") name must be declared in \
-                  the matching COUNTERS/SPANS/HISTOGRAMS list of \
-                  crates/telemetry/src/catalog.rs",
+        summary: "every counter!/time!(\"…\") name must be declared in the \
+                  matching COUNTERS/SPANS list of crates/telemetry/src/catalog.rs",
     },
     Lint {
         id: "W003",
         name: "metric-unreferenced",
-        summary: "every name declared in the COUNTERS/SPANS/HISTOGRAMS lists of \
+        summary: "every name declared in the COUNTERS/SPANS lists of \
                   crates/telemetry/src/catalog.rs must be referenced by some \
-                  counter!/time!/histogram!(\"…\") site",
+                  counter!/time!(\"…\") site",
     },
     Lint {
         id: "W004",

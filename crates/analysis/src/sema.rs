@@ -13,7 +13,8 @@
 //! * every **callsite** with the locks held across it (feeding the
 //!   conservative name-matched call graph in [`crate::concurrency`]);
 //! * every **blocking operation** — wire I/O, `park`/`sleep`/`join`/`recv`,
-//!   `fsync`, fault-site stalls — with the locks held across it.
+//!   condvar waits, `fsync`, fault-site stalls — with the locks held
+//!   across it.
 //!
 //! Lock identity is textual and crate-scoped: the receiver's final field
 //! name before the acquisition (`self.mutation_lock.lock()` →
@@ -24,12 +25,16 @@
 //! return value or a struct field defeat this model entirely — which is
 //! exactly what lint **C004** exists to flag.
 //!
+//! A condvar wait — `.wait(g)`, `.wait_while(g, …)`, `.wait_timeout(g, …)`
+//! or `.wait_timeout_while(g, …)` — parks holding every lock except the
+//! `let`-bound guard `g`, which the condvar releases while it sleeps. A
+//! `.wait()` with empty parens (`ServerHandle::wait`) is not a condvar
+//! wait.
+//!
 //! Known, accepted approximations (all conservative for the shipped tree):
 //! multi-line guard chains read as temporaries; a guard bound inside an
-//! `if` arm reads as held through the `else`; condvar `wait(guard)` is
-//! *not* a blocking op (it atomically releases the guard it consumes);
-//! `.join()` blocks only with empty parens (`path.join("x")` is not a
-//! thread join).
+//! `if` arm reads as held through the `else`; `.join()` blocks only with
+//! empty parens (`path.join("x")` is not a thread join).
 
 use crate::lexer::{self, Line};
 
@@ -48,7 +53,8 @@ pub const GUARD_TYPES: &[&str] = &[
 pub enum BlockKind {
     /// TCP connect/accept or frame read/write.
     Wire,
-    /// Thread parking: `sleep`, `park`, `recv`, empty-paren `join`.
+    /// Thread parking: `sleep`, `park`, `recv`, empty-paren `join`, and
+    /// condvar waits.
     Park,
     /// Filesystem durability: `sync_all` / `sync_data`.
     Fsync,
@@ -68,8 +74,8 @@ impl BlockKind {
     }
 }
 
-/// Tokens that classify as blocking, per kind. `join` is handled
-/// separately (empty-paren only).
+/// Tokens that classify as blocking, per kind. `join` and the condvar
+/// waits are handled separately (they depend on their arguments).
 const WIRE_TOKENS: &[&str] = &[
     "read_frame",
     "read_frame_guarded",
@@ -84,6 +90,8 @@ const WIRE_TOKENS: &[&str] = &[
 const PARK_TOKENS: &[&str] = &["sleep", "park", "park_timeout", "recv", "recv_timeout"];
 const FSYNC_TOKENS: &[&str] = &["sync_all", "sync_data"];
 const FAULT_TOKENS: &[&str] = &["fail_point"];
+/// Condvar wait methods; the first argument is the guard they release.
+const WAIT_TOKENS: &[&str] = &["wait", "wait_while", "wait_timeout", "wait_timeout_while"];
 
 /// One lock acquisition inside a function body.
 #[derive(Debug, Clone)]
@@ -321,6 +329,11 @@ enum Event {
         kind: BlockKind,
         token: String,
     },
+    /// A condvar wait that releases the guard bound to `guard`.
+    Wait {
+        token: String,
+        guard: String,
+    },
     Drop {
         name: String,
     },
@@ -410,6 +423,21 @@ fn scan_body(lines: &[Line], depth_start: &[i32], sig: &Signature, def: &mut FnD
                         held: held_now(&held, &temps),
                     });
                 }
+                Event::Wait { token, guard } => {
+                    let released: Vec<&str> = held
+                        .iter()
+                        .filter(|g| g.name.as_deref() == Some(guard.as_str()))
+                        .map(|g| g.lock.as_str())
+                        .collect();
+                    let mut still = held_now(&held, &temps);
+                    still.retain(|lock| !released.contains(&lock.as_str()));
+                    def.blocking.push(BlockingOp {
+                        kind: BlockKind::Park,
+                        token,
+                        line: line_idx + 1,
+                        held: still,
+                    });
+                }
                 Event::Drop { name } => {
                     held.retain(|g| g.name.as_deref() != Some(name.as_str()));
                 }
@@ -481,7 +509,9 @@ const CALL_EXCLUDE: &[&str] = &[
     "try_lock",
     "drop",
     "wait",
+    "wait_while",
     "wait_timeout",
+    "wait_timeout_while",
     "notify_all",
     "notify_one",
 ];
@@ -565,6 +595,29 @@ fn line_events(code: &str, from_col: usize, line_depth: i32) -> Vec<(usize, Even
                 Event::Blocking {
                     kind: BlockKind::Park,
                     token: "join".to_string(),
+                },
+            ));
+        }
+    }
+
+    // Condvar waits: a method call whose first argument is non-empty.
+    for tok in WAIT_TOKENS {
+        for at in lexer::find_tokens(code, tok) {
+            if at < from_col || bytes.get(at.wrapping_sub(1)) != Some(&b'.') {
+                continue;
+            }
+            let Some(args) = code[at + tok.len()..].strip_prefix('(') else {
+                continue;
+            };
+            let args = args.trim_start();
+            if args.is_empty() || args.starts_with(')') {
+                continue;
+            }
+            events.push((
+                at,
+                Event::Wait {
+                    token: (*tok).to_string(),
+                    guard: leading_ident(args),
                 },
             ));
         }
@@ -858,15 +911,47 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_is_not_blocking() {
+    fn condvar_wait_parks_holding_all_but_its_guard() {
         let s = sema(
             "crates/kernels/src/x.rs",
-            "fn f(&self) {\n\
+            "fn own(&self) {\n\
              \x20   let mut st = self.state.lock();\n\
              \x20   st = self.cv.wait(st);\n\
+             }\n\
+             fn both(&self) {\n\
+             \x20   let db = self.db.read();\n\
+             \x20   let mut st = self.state.lock();\n\
+             \x20   let (st, _) = self.cv.wait_timeout_while(st, d, |s| s.busy);\n\
+             }\n\
+             fn handle(&self) {\n\
+             \x20   let _g = self.state.lock();\n\
+             \x20   server.wait();\n\
              }\n",
         );
-        assert!(s.fns[0].blocking.is_empty(), "wait releases its guard");
+        let parks = |f: &FnDef| -> Vec<(BlockKind, String, Vec<String>)> {
+            f.blocking
+                .iter()
+                .map(|b| (b.kind, b.token.clone(), b.held.clone()))
+                .collect()
+        };
+        assert_eq!(
+            parks(&s.fns[0]),
+            vec![(BlockKind::Park, "wait".to_string(), vec![])],
+            "a wait releases its own guard"
+        );
+        assert_eq!(
+            parks(&s.fns[1]),
+            vec![(
+                BlockKind::Park,
+                "wait_timeout_while".to_string(),
+                vec!["kernels/db".to_string()]
+            )],
+            "every other guard stays held across the wait"
+        );
+        assert!(
+            s.fns[2].blocking.is_empty(),
+            "an empty-paren wait() is not a condvar wait"
+        );
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl<M: DecayMedium> ApproxMemory<M> {
         &self.medium
     }
 
-    /// Consumes the controller, returning the medium.
-    pub fn into_medium(self) -> M {
-        self.medium
-    }
-
     /// Configured accuracy target.
     pub fn target(&self) -> AccuracyTarget {
         self.target

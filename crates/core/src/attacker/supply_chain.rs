@@ -77,12 +77,6 @@ impl<L> SupplyChainAttacker<L> {
         Ok(fp)
     }
 
-    /// Inserts an externally built fingerprint (e.g. characterized from a
-    /// bare DRAM module rather than a full system).
-    pub fn insert_fingerprint(&mut self, label: L, fingerprint: Fingerprint) {
-        self.db.insert(label, fingerprint);
-    }
-
     /// The underlying fingerprint database.
     pub fn db(&self) -> &FingerprintDb<L, PcDistance> {
         &self.db

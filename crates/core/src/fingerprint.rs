@@ -120,11 +120,6 @@ impl Fingerprint {
     pub fn weight(&self) -> u64 {
         self.errors.weight()
     }
-
-    /// Consumes the fingerprint, returning its error string.
-    pub fn into_errors(self) -> ErrorString {
-        self.errors
-    }
 }
 
 impl From<ErrorString> for Fingerprint {

@@ -249,14 +249,6 @@ impl DramChip {
         pc_telemetry::counter!("dram.error_bits").add(errors.len() as u64);
         errors
     }
-
-    /// Fraction of erroneous bits when the worst-case pattern is held under
-    /// `cond` (every cell charged, so this is the fraction of decayed cells).
-    pub fn worst_case_error_rate(&self, cond: &Conditions) -> f64 {
-        let n = self.capacity_bits();
-        let errors = (0..n).filter(|&c| self.cell_errors(c, cond)).count();
-        errors as f64 / n as f64
-    }
 }
 
 #[cfg(test)]

@@ -190,12 +190,6 @@ impl ChipProfile {
         self
     }
 
-    /// Returns a copy with a different retention distribution.
-    pub fn with_retention(mut self, retention: VolatilityDistribution) -> Self {
-        self.retention = retention;
-        self
-    }
-
     /// Returns a copy with a different variation mix.
     pub fn with_variation(mut self, variation: VariationMix) -> Self {
         self.variation = variation;

@@ -29,9 +29,8 @@
 //!   the victim down so fast that reads rarely catch it mid-death.)
 //!
 //! The run writes `BENCH_ring.json` (path overridable via
-//! `PC_BENCH_RING_OUT`) with `availability`, `failovers`,
-//! `quorum_mismatches`, and `replay_depth` — the machine-readable record
-//! CI archives.
+//! `PC_BENCH_RING_OUT`) with `availability`, `failovers`, `replay_depth`,
+//! and `sheds` — the machine-readable record CI archives.
 
 use crate::report::{artifact_dir, Report};
 use pc_service::protocol::{Request, Response, RingStatusBody};
@@ -435,10 +434,8 @@ pub fn run_with(out: &Path, total_requests: u64) -> io::Result<String> {
     let bench_json = format!(
         "{{\n  \"bench\": \"ring\",\n  \"requests\": {total},\n  \"replicas\": {REPLICAS},\n  \
          \"availability\": {availability:.6},\n  \"failovers\": {},\n  \
-         \"quorum_mismatches\": {},\n  \"replay_depth\": {},\n  \"sheds\": {},\n  \
-         \"wall_ms\": {}\n}}\n",
+         \"replay_depth\": {},\n  \"sheds\": {},\n  \"wall_ms\": {}\n}}\n",
         rejoined.failovers,
-        rejoined.quorum_mismatches,
         rejoined.replayed,
         rejoined.sheds,
         elapsed.as_millis(),
@@ -468,7 +465,6 @@ pub fn run_with(out: &Path, total_requests: u64) -> io::Result<String> {
     r.kv("router failovers", rejoined.failovers);
     r.section("healing");
     r.kv("journal entries replayed", rejoined.replayed);
-    r.kv("quorum mismatches", rejoined.quorum_mismatches);
     r.kv("acknowledged writes", acknowledged.len() as u64);
     r.kv("acknowledged writes lost", lost);
     r.kv("healed replica re-identification", "ok");

@@ -191,7 +191,6 @@ pub struct ServiceClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     next_seq: u64,
-    max_frame_bytes: u32,
     trace: bool,
     /// Dial target kept for transparent re-dials; only
     /// [`ServiceClient::connect_named`] records it.
@@ -249,7 +248,6 @@ impl ServiceClient {
             writer,
             reader,
             next_seq: 1,
-            max_frame_bytes: MAX_FRAME_BYTES,
             trace: false,
             peer: None,
         })
@@ -297,7 +295,7 @@ impl ServiceClient {
     ///
     /// Propagates transport, framing, and protocol failures.
     pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
-        let value = codec::read_frame(&mut self.reader, self.max_frame_bytes)?;
+        let value = codec::read_frame(&mut self.reader, MAX_FRAME_BYTES)?;
         Ok(protocol::decode_response(&value)?)
     }
 
@@ -402,14 +400,14 @@ impl ServiceClient {
 
     /// [`ServiceClient::call`], resubmitting on `busy` under `policy`.
     ///
-    /// A routed `busy` (the router shedding because a replica quorum is
-    /// unreachable) paces exactly like a server-side one: its
-    /// `retry_after_ms` hint floors the back-off, even through a
-    /// [`Response::Traced`] wrapper. On a connection built with
-    /// [`ServiceClient::connect_named`], transport failures re-dial the
-    /// peer and retry under the same attempt/deadline budget — requests
-    /// are then delivered at-least-once, so non-idempotent mutations may
-    /// apply twice across a retry boundary.
+    /// A routed `busy` (the router shedding because no replica answered)
+    /// paces exactly like a server-side one: its `retry_after_ms` hint
+    /// floors the back-off, even through a [`Response::Traced`] wrapper.
+    /// On a connection built with [`ServiceClient::connect_named`],
+    /// transport failures re-dial the peer and retry under the same
+    /// attempt/deadline budget — requests are then delivered
+    /// at-least-once, so non-idempotent mutations may apply twice across a
+    /// retry boundary.
     ///
     /// # Errors
     ///

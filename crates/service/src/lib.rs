@@ -15,10 +15,10 @@
 //! - [`server`]: the accept loop, per-connection reader/writer threads, and
 //!   graceful drain-on-shutdown with database + index persistence.
 //! - [`client`]: a blocking client (`pc query` and the tests).
-//! - [`ring`]: the deterministic consistent-hash ring, health hysteresis,
-//!   and per-replica pending-write journal primitives.
-//! - [`router`]: the `pc route` tier — failover reads, quorum-of-2,
-//!   write fan-out with journal replay on replica rejoin, load shedding.
+//! - [`ring`]: the deterministic rendezvous ranking of replicas, health
+//!   hysteresis, and per-replica pending-write journal primitives.
+//! - [`router`]: the `pc route` tier — failover reads, write fan-out with
+//!   journal replay on replica rejoin, load shedding.
 //!
 //! # Quickstart
 //!
@@ -65,7 +65,7 @@ pub use protocol::{
     decode_request, decode_response, encode_request, encode_request_with, encode_response,
     MetricsBody, OpLatency, ProtocolError, Request, Response, StatsBody, TraceBody, TraceRecord,
 };
-pub use ring::{HealthPolicy, Ring, RingConfig};
+pub use ring::{HealthPolicy, Ring};
 pub use router::{RouterConfig, RouterHandle, RouterTrigger};
 pub use server::{start, ServerConfig, ServerHandle, ShutdownTrigger};
 pub use store::{ShardedStore, StoreConfig};

@@ -171,19 +171,9 @@ pub struct RingStatusBody {
     pub role: String,
     /// The responder's identity (replica id or router address).
     pub id: String,
-    /// Replication factor R (0 when answered by a plain replica).
-    pub replication: u64,
-    /// Virtual nodes per replica on the hash ring.
-    pub vnodes: u64,
-    /// The ring's placement seed.
-    pub seed: u64,
-    /// Whether quorum-of-2 read agreement is enabled.
-    pub quorum: bool,
-    /// Reads failed over to a lower-preference replica since start.
+    /// Reads failed over to a lower-ranked replica since start.
     pub failovers: u64,
-    /// Quorum read pairs that disagreed since start.
-    pub quorum_mismatches: u64,
-    /// Requests shed with `busy` because a quorum was unreachable.
+    /// Requests shed with `busy` because no live replica answered.
     pub sheds: u64,
     /// Journal entries replayed to rejoining replicas since start.
     pub replayed: u64,
@@ -838,12 +828,7 @@ pub fn encode_response(seq: u64, response: &Response) -> JsonObject {
             obj.set("kind", "ring-status");
             obj.set("role", body.role.as_str());
             obj.set("id", body.id.as_str());
-            obj.set("replication", body.replication);
-            obj.set("vnodes", body.vnodes);
-            obj.set("seed", body.seed);
-            obj.set("quorum", body.quorum);
             obj.set("failovers", body.failovers);
-            obj.set("quorum_mismatches", body.quorum_mismatches);
             obj.set("sheds", body.sheds);
             obj.set("replayed", body.replayed);
             let rows: Vec<JsonValue> = body
@@ -979,12 +964,7 @@ pub fn decode_response(frame: &JsonValue) -> Result<(u64, Response), ProtocolErr
         "ring-status" => Response::RingStatus(RingStatusBody {
             role: get_str(obj, "role")?.to_string(),
             id: get_str(obj, "id")?.to_string(),
-            replication: get_u64(obj, "replication")?,
-            vnodes: get_u64(obj, "vnodes")?,
-            seed: get_u64(obj, "seed")?,
-            quorum: get_bool(obj, "quorum")?,
             failovers: get_u64(obj, "failovers")?,
-            quorum_mismatches: get_u64(obj, "quorum_mismatches")?,
             sheds: get_u64(obj, "sheds")?,
             replayed: get_u64(obj, "replayed")?,
             nodes: obj
@@ -1171,12 +1151,7 @@ mod tests {
             Response::RingStatus(RingStatusBody {
                 role: "router".into(),
                 id: "127.0.0.1:9000".into(),
-                replication: 2,
-                vnodes: 64,
-                seed: 0x5eed,
-                quorum: true,
                 failovers: 3,
-                quorum_mismatches: 1,
                 sheds: 2,
                 replayed: 17,
                 nodes: vec![

@@ -1,14 +1,18 @@
-//! The deterministic consistent-hash ring, replica health state machine,
-//! and per-replica pending-write journal behind the `pc route` tier.
+//! The deterministic replica ranking, replica health state machine, and
+//! per-replica pending-write journal behind the `pc route` tier.
 //!
-//! Placement is a classic consistent-hash ring with seeded virtual nodes:
-//! each replica address hashes to [`RingConfig::vnodes`] points on a `u64`
-//! circle (all hashing goes through `pc_stats::mix64`, so placement is
-//! byte-identical across thread counts, process restarts, and platforms).
-//! A key's *preference list* is the first `replication` distinct replicas
-//! met walking clockwise from the key's point; adding or removing one
-//! replica only remaps the arcs that replica's virtual nodes owned
-//! (≈ `1/N` of keys, bounded well under `2/N` — pinned by proptest).
+//! Every replica holds the whole database (writes fan out to all of them),
+//! so placement only decides which replica answers a read. It is
+//! rendezvous (highest-random-weight) hashing: each replica address hashes
+//! once, a key's point is mixed with that hash to give the replica a
+//! score, and a key's walk is the replicas in descending score (Thaler &
+//! Ravishankar, "Using name-based mappings to increase hit rates", IEEE/ACM
+//! ToN 1998). All hashing goes through `pc_stats::mix64`, so the walk is
+//! byte-identical across thread counts, process restarts, and platforms.
+//! Adding or removing one replica moves only the keys that replica heads
+//! (≈ `1/N` of them, pinned under `2/N` by proptest), and removing one
+//! leaves every other key's walk in the same order, so a down replica's
+//! reads spread over the survivors.
 //!
 //! Health is tracked per replica with hysteresis — `Up → Suspect → Down`
 //! on consecutive failures, `Down → Up` only after consecutive probe
@@ -33,32 +37,13 @@ use crate::protocol::{ReplayEntry, SequencedEntry};
 use pc_kernels::sched;
 use pc_stats::mix64;
 use probable_cause::ErrorString;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
-/// Ring geometry: replication factor, virtual-node count, placement seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingConfig {
-    /// Distinct replicas in each key's preference list (R).
-    pub replication: usize,
-    /// Virtual nodes per replica on the hash circle.
-    pub vnodes: usize,
-    /// Placement seed mixed into every vnode hash.
-    pub seed: u64,
-}
-
-impl Default for RingConfig {
-    fn default() -> Self {
-        Self {
-            replication: 2,
-            vnodes: 64,
-            seed: 0x5eed,
-        }
-    }
-}
-
-/// Deterministic seeded string hash: folds each byte through `mix64`.
-fn hash_str(seed: u64, s: &str) -> u64 {
-    let mut h = mix64(seed ^ 0x0070_632d_7269_6e67); // "pc-ring"
+/// Deterministic string hash of a replica address: folds each byte
+/// through `mix64`.
+fn hash_str(s: &str) -> u64 {
+    let mut h = mix64(0x5eed ^ 0x0070_632d_7269_6e67); // "pc-ring"
     for &b in s.as_bytes() {
         h = mix64(h ^ u64::from(b));
     }
@@ -76,97 +61,45 @@ pub fn key_of(errors: &ErrorString) -> u64 {
     h
 }
 
-/// A deterministic consistent-hash ring over replica indices.
+/// A deterministic rendezvous ranking over replica indices.
 ///
 /// The ring never mutates after construction; topology changes mean
 /// building a new ring, which is how the remap bound is stated and tested.
 #[derive(Debug, Clone)]
 pub struct Ring {
-    /// Sorted `(point, replica index)` pairs — the hash circle.
-    points: Vec<(u64, usize)>,
-    nodes: usize,
-    replication: usize,
+    /// One address hash per replica, in declaration order.
+    hashes: Vec<u64>,
 }
 
 impl Ring {
-    /// Builds the ring for `nodes` (replica addresses, declaration order
-    /// is identity) under `config`. At least one node is required;
-    /// `replication` and `vnodes` are clamped to sane minimums.
-    pub fn new(nodes: &[String], config: &RingConfig) -> Self {
-        let vnodes = config.vnodes.max(1);
-        let mut points: Vec<(u64, usize)> = Vec::with_capacity(nodes.len() * vnodes);
-        for (index, addr) in nodes.iter().enumerate() {
-            let base = hash_str(config.seed, addr);
-            for v in 0..vnodes {
-                points.push((mix64(base ^ (v as u64).rotate_left(17)), index));
-            }
-        }
-        // Sort by point; break exact hash collisions by replica index so
-        // construction order never matters.
-        points.sort_unstable();
+    /// Builds the ranking for `nodes` (replica addresses; declaration
+    /// order is identity).
+    pub fn new(nodes: &[String]) -> Self {
         Self {
-            points,
-            nodes: nodes.len(),
-            replication: config.replication.max(1),
+            hashes: nodes.iter().map(|addr| hash_str(addr)).collect(),
         }
     }
 
-    /// Number of distinct replicas on the ring.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The replication factor requests are spread over.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Every replica ranked for `key`: the full clockwise walk order with
-    /// duplicates removed. The first `replication` entries are the
-    /// preference list; the rest are the failover order beyond it.
+    /// Every replica ranked for `key`: descending rendezvous score, exact
+    /// score ties broken by replica index. The first entry answers the
+    /// read; the rest are the failover order.
     pub fn walk(&self, key: u64) -> Vec<usize> {
-        let mut picks: Vec<usize> = Vec::with_capacity(self.nodes);
-        if self.points.is_empty() {
-            return picks;
-        }
         let point = mix64(key ^ 0x7072_6566);
-        let start = self
-            .points
-            .partition_point(|&(p, _)| p < point)
-            .checked_rem(self.points.len())
-            .unwrap_or(0);
-        for offset in 0..self.points.len() {
-            let at = (start + offset) % self.points.len();
-            if let Some(&(_, node)) = self.points.get(at) {
-                if !picks.contains(&node) {
-                    picks.push(node);
-                    if picks.len() == self.nodes {
-                        break;
-                    }
-                }
-            }
-        }
-        picks
-    }
-
-    /// The preference list for `key`: up to `min(R, nodes)` distinct
-    /// replica indices, nearest clockwise successor first.
-    pub fn preference(&self, key: u64) -> Vec<usize> {
-        let mut picks = self.walk(key);
-        picks.truncate(self.replication.min(self.nodes));
-        picks
-    }
-
-    /// The primary replica for `key` (first of the preference list).
-    pub fn primary(&self, key: u64) -> Option<usize> {
-        self.preference(key).first().copied()
+        let mut scored: Vec<(u64, usize)> = self
+            .hashes
+            .iter()
+            .enumerate()
+            .map(|(index, &hash)| (mix64(point ^ hash), index))
+            .collect();
+        scored.sort_unstable_by_key(|&(score, index)| (Reverse(score), index));
+        scored.into_iter().map(|(_, index)| index).collect()
     }
 }
 
 /// Replica health as the router sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
-    /// Serving; in every preference list it appears on.
+    /// Serving: answers reads at its walk position and takes every write.
     Up,
     /// Recently failing but not yet evicted — still tried, deprioritized
     /// by callers that can.
@@ -410,52 +343,21 @@ mod tests {
     }
 
     #[test]
-    fn preference_is_deterministic_and_distinct() {
+    fn walk_ranks_every_replica_once() {
         let nodes = addrs(5);
-        let config = RingConfig {
-            replication: 3,
-            ..RingConfig::default()
-        };
-        let a = Ring::new(&nodes, &config);
-        let b = Ring::new(&nodes, &config);
+        let a = Ring::new(&nodes);
+        let b = Ring::new(&nodes);
         for key in 0..256u64 {
-            let pa = a.preference(mix64(key));
-            assert_eq!(pa, b.preference(mix64(key)), "same ring, same routing");
-            assert_eq!(pa.len(), 3);
-            let mut dedup = pa.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 3, "preference list must be distinct");
+            let walk = a.walk(mix64(key));
+            assert_eq!(walk, b.walk(mix64(key)), "same replicas, same walk");
+            let mut sorted = walk.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                sorted,
+                (0..5).collect::<Vec<_>>(),
+                "walk must be a permutation"
+            );
         }
-    }
-
-    #[test]
-    fn replication_clamps_to_node_count() {
-        let ring = Ring::new(
-            &addrs(2),
-            &RingConfig {
-                replication: 5,
-                ..RingConfig::default()
-            },
-        );
-        assert_eq!(ring.preference(42).len(), 2);
-    }
-
-    #[test]
-    fn seed_changes_placement() {
-        let nodes = addrs(4);
-        let a = Ring::new(&nodes, &RingConfig::default());
-        let b = Ring::new(
-            &nodes,
-            &RingConfig {
-                seed: 0xbeef,
-                ..RingConfig::default()
-            },
-        );
-        let moved = (0..512u64)
-            .filter(|&k| a.primary(mix64(k)) != b.primary(mix64(k)))
-            .count();
-        assert!(moved > 0, "different seeds should shuffle ownership");
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! The `pc route` tier: a consistent-hash router in front of N replica
-//! servers, with health-checked failover, optional quorum-of-2 reads,
-//! write fan-out with per-replica journals, and load shedding.
+//! The `pc route` tier: a router in front of N replica servers, with
+//! health-checked failover, write fan-out with per-replica journals, and
+//! load shedding.
 //!
 //! The router speaks the same wire protocol as a plain server, so every
 //! existing client — `pc query`, `pc top`, the soak harnesses — works
 //! against it unchanged. Requests split three ways:
 //!
 //! - **Reads** (`identify`, `stats`): routed by the content key of the
-//!   request ([`crate::ring::key_of`]) along the ring's clockwise walk,
+//!   request ([`crate::ring::key_of`]) along the ring's rendezvous walk,
 //!   restricted to live replicas. A transport failure marks the replica
-//!   and fails over to the next live one. With `--quorum`, the first two
-//!   live replicas are both asked and disagreements resolve by a
-//!   deterministic tie-break (a match beats a miss; two matches by lowest
-//!   `(distance, label)`).
+//!   and fails over to the next live one.
 //! - **Writes** (`characterize`, `cluster-ingest`, `save`): fanned to
 //!   *every* replica under a router-side mutation lock, so all replicas
 //!   apply mutations in one global order and stay convergent. Each write
@@ -32,10 +29,9 @@
 //!   `shutdown`): answered by the router itself; `shutdown` stops only
 //!   the routing tier, never the replicas.
 //!
-//! When no replica (or, under `--quorum`, no read quorum) is reachable
-//! the router sheds with `busy` + `retry_after_ms` instead of erroring:
-//! shedding is honest backpressure a [`crate::client::RetryPolicy`]
-//! already knows how to wait out.
+//! When no replica is reachable the router sheds with `busy` +
+//! `retry_after_ms` instead of erroring: shedding is honest backpressure a
+//! [`crate::client::RetryPolicy`] already knows how to wait out.
 //!
 //! A prober thread pings replicas on a fixed cadence, with
 //! capped-exponential backoff toward down replicas, feeding the same
@@ -49,7 +45,7 @@ use crate::pool::apply_trace;
 use crate::protocol::{
     self, MetricsBody, NodeStatus, ReplayEntry, Request, Response, RingStatusBody, TraceRecord,
 };
-use crate::ring::{key_of, HealthPolicy, Journal, NodeHealth, Ring, RingConfig};
+use crate::ring::{key_of, HealthPolicy, Journal, NodeHealth, Ring};
 use crate::server::count_request;
 use parking_lot::Mutex as PlMutex;
 use pc_telemetry::counter;
@@ -68,12 +64,8 @@ pub struct RouterConfig {
     pub addr: String,
     /// Replica addresses, declaration order is ring identity.
     pub replicas: Vec<String>,
-    /// Ring geometry (replication factor, vnodes, seed).
-    pub ring: RingConfig,
     /// Health hysteresis and probe backoff.
     pub health: HealthPolicy,
-    /// Whether identify reads require quorum-of-2 agreement.
-    pub quorum: bool,
     /// Back-off hint attached to shed (`busy`) responses.
     pub retry_after_ms: u64,
     /// Router-initiated checkpoint threshold: when any *live* replica's
@@ -87,8 +79,6 @@ pub struct RouterConfig {
     pub probe_interval_ms: u64,
     /// Connect/read/write timeout for replica forwards, in milliseconds.
     pub forward_timeout_ms: u64,
-    /// Per-frame payload cap on client connections.
-    pub max_frame_bytes: u32,
     /// Socket write timeout for client responses.
     pub write_timeout_ms: Option<u64>,
     /// Slow-request threshold for the router's tracer.
@@ -104,14 +94,11 @@ impl Default for RouterConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             replicas: Vec::new(),
-            ring: RingConfig::default(),
             health: HealthPolicy::default(),
-            quorum: false,
             retry_after_ms: 25,
             checkpoint_every: 256,
             probe_interval_ms: 20,
             forward_timeout_ms: 2_000,
-            max_frame_bytes: codec::MAX_FRAME_BYTES,
             write_timeout_ms: Some(30_000),
             slow_ms: None,
             flight_recorder_len: 64,
@@ -160,7 +147,6 @@ struct RouterShared {
     local_addr: SocketAddr,
     shutting_down: AtomicBool,
     failovers: AtomicU64,
-    quorum_mismatches: AtomicU64,
     sheds: AtomicU64,
     replayed: AtomicU64,
     /// The next global write sequence (1-based; 0 is the replicas' unset
@@ -241,7 +227,7 @@ impl RouterShared {
     }
 
     /// Read path: try `ranked` in order, failing over on transport errors.
-    /// Returns the first answer plus how many failovers it took.
+    /// Returns the first answer, or `None` when no replica answered.
     fn read_one(&self, ranked: &[usize], request: &Request, origin: u64) -> Option<Response> {
         let mut first_try = true;
         for &idx in ranked {
@@ -261,46 +247,6 @@ impl RouterShared {
             }
         }
         None
-    }
-
-    /// Quorum-of-2 identify: ask live replicas along the walk until two
-    /// answer, then agree or tie-break deterministically.
-    fn read_quorum(&self, ranked: &[usize], request: &Request, origin: u64) -> Option<Response> {
-        let mut answers: Vec<Response> = Vec::with_capacity(2);
-        for (nth, &idx) in ranked.iter().enumerate() {
-            // Mirror read_one's first-try exemption: the first
-            // `replication` contacts are the quorum's ordinary footprint;
-            // only walking past them counts as a failover.
-            if nth >= self.ring.replication() {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                counter!("service.ring.failovers").incr();
-            }
-            match self.with_node_client(idx, |c| c.call_routed(request, origin)) {
-                Some(response) => {
-                    if let Some(node) = self.nodes.get(idx) {
-                        node.health.lock().record_success(&self.config.health);
-                    }
-                    answers.push(strip_trace(response));
-                    if answers.len() == 2 {
-                        break;
-                    }
-                }
-                None => self.note_failure(idx),
-            }
-        }
-        let mut drained = answers.drain(..);
-        match (drained.next(), drained.next()) {
-            (Some(a), Some(b)) => {
-                if !verdicts_agree(&a, &b) {
-                    self.quorum_mismatches.fetch_add(1, Ordering::Relaxed);
-                    counter!("service.ring.quorum_mismatches").incr();
-                    return Some(tie_break(a, b));
-                }
-                Some(a)
-            }
-            // Fewer than two answers: the quorum is unreachable.
-            _ => None,
-        }
     }
 
     /// Sheds one request with `busy` + the configured retry hint.
@@ -429,12 +375,7 @@ impl RouterShared {
         RingStatusBody {
             role: "router".to_string(),
             id: self.local_addr.to_string(),
-            replication: self.ring.replication() as u64,
-            vnodes: self.config.ring.vnodes as u64,
-            seed: self.config.ring.seed,
-            quorum: self.config.quorum,
             failovers: self.failovers.load(Ordering::Relaxed),
-            quorum_mismatches: self.quorum_mismatches.load(Ordering::Relaxed),
             sheds: self.sheds.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
             nodes: self
@@ -509,52 +450,6 @@ fn strip_trace(response: Response) -> Response {
     match response {
         Response::Traced { inner, .. } => *inner,
         other => other,
-    }
-}
-
-/// Whether two identify verdicts agree for quorum purposes. Distances are
-/// compared exactly: replicas are deterministic copies, so a disagreement
-/// of any size means divergence.
-fn verdicts_agree(a: &Response, b: &Response) -> bool {
-    match (a, b) {
-        (
-            Response::Match {
-                label: la,
-                distance: da,
-            },
-            Response::Match {
-                label: lb,
-                distance: db,
-            },
-        ) => la == lb && da == db,
-        (Response::NoMatch { closest: ca }, Response::NoMatch { closest: cb }) => ca == cb,
-        _ => a == b,
-    }
-}
-
-/// Deterministic quorum tie-break: a match beats a miss; two matches pick
-/// the lowest `(distance, label)`; anything else keeps the first answer.
-fn tie_break(a: Response, b: Response) -> Response {
-    match (&a, &b) {
-        (Response::Match { .. }, Response::NoMatch { .. }) => a,
-        (Response::NoMatch { .. }, Response::Match { .. }) => b,
-        (
-            Response::Match {
-                label: la,
-                distance: da,
-            },
-            Response::Match {
-                label: lb,
-                distance: db,
-            },
-        ) => {
-            if (*da, la.as_str()) <= (*db, lb.as_str()) {
-                a
-            } else {
-                b
-            }
-        }
-        _ => a,
     }
 }
 
@@ -654,7 +549,7 @@ pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let ring = Ring::new(&config.replicas, &config.ring);
+    let ring = Ring::new(&config.replicas);
     let tracer = Arc::new(Tracer::new(
         protocol::OPS,
         config.flight_recorder_len,
@@ -675,7 +570,6 @@ pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
         local_addr,
         shutting_down: AtomicBool::new(false),
         failovers: AtomicU64::new(0),
-        quorum_mismatches: AtomicU64::new(0),
         sheds: AtomicU64::new(0),
         replayed: AtomicU64::new(0),
         next_wseq: AtomicU64::new(1),
@@ -789,7 +683,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<RouterShared>, conn_id: u64) 
     loop {
         let frame = {
             let _span = pc_telemetry::time!("service.decode");
-            codec::read_frame(&mut reader, shared.config.max_frame_bytes)
+            codec::read_frame(&mut reader, codec::MAX_FRAME_BYTES)
         };
         let value = match frame {
             Ok(value) => value,
@@ -873,16 +767,9 @@ fn route_request(shared: &RouterShared, request: Request, origin: u64) -> Respon
         },
         Request::Identify { ref errors } => {
             let ranked = shared.live_walk(key_of(errors));
-            let answer = if shared.config.quorum {
-                if ranked.len() < 2 {
-                    None
-                } else {
-                    shared.read_quorum(&ranked, &request, origin)
-                }
-            } else {
-                shared.read_one(&ranked, &request, origin)
-            };
-            answer.unwrap_or_else(|| shared.shed())
+            shared
+                .read_one(&ranked, &request, origin)
+                .unwrap_or_else(|| shared.shed())
         }
         Request::Stats => {
             // Stats are replica-global, not keyed: route by a fixed key so

@@ -53,8 +53,6 @@ pub struct ServerConfig {
     pub store: StoreConfig,
     /// Submission-queue capacity; submissions beyond it answer `busy`.
     pub queue_capacity: usize,
-    /// Per-frame payload cap.
-    pub max_frame_bytes: u32,
     /// Back-off hint attached to `busy` responses.
     pub retry_after_ms: u64,
     /// Database file: loaded at startup if present, written at shutdown.
@@ -91,7 +89,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             store: StoreConfig::default(),
             queue_capacity: 1024,
-            max_frame_bytes: codec::MAX_FRAME_BYTES,
             retry_after_ms: 10,
             db_path: None,
             index_path: None,
@@ -155,7 +152,7 @@ impl Shared {
     }
 
     /// This replica's self view for a `ring-status` request: identity only;
-    /// ring geometry and health live in the routing tier.
+    /// replica health and journals live in the routing tier.
     fn ring_status(&self) -> protocol::RingStatusBody {
         protocol::RingStatusBody {
             role: "replica".to_string(),
@@ -421,7 +418,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
             // The read fault strikes a frame that arrived, never the wait
             // for one: a reader looping back after its last request must not
             // spend a fault meant for a request.
-            codec::read_frame_guarded(&mut reader, shared.config.max_frame_bytes, guard).and_then(
+            codec::read_frame_guarded(&mut reader, codec::MAX_FRAME_BYTES, guard).and_then(
                 |value| {
                     if pc_faults::fail_point("wire.read") {
                         // A read-side fault is an incident: capture the

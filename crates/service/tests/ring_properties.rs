@@ -1,14 +1,13 @@
-//! Property tests for the consistent-hash ring: the remap bound under
-//! topology changes, and byte-identical routing across reconstructions
-//! and kernel thread-count settings.
+//! Property tests for the replica ranking: the remap bound under topology
+//! changes, the failover order after a removal, and byte-identical routing
+//! across reconstructions and kernel thread-count settings.
 //!
-//! The remap bound is the reason the ring exists at all — a naive
-//! `hash % N` remaps nearly every key when N changes, destroying journal
-//! locality and cache warmth on every failover. The consistent-hash ring
-//! pins the damage to the arcs the changed replica owned: ≤ 2/N of keys,
+//! A naive `hash % N` remaps nearly every key when N changes, destroying
+//! journal locality and cache warmth on every failover. Rendezvous ranking
+//! pins the damage to the keys the changed replica heads: ≤ 2/N of keys,
 //! and *only* keys that involve the changed replica.
 
-use pc_service::ring::{Ring, RingConfig};
+use pc_service::ring::Ring;
 use pc_stats::mix64;
 use proptest::prelude::*;
 
@@ -28,20 +27,15 @@ proptest! {
     #[test]
     fn adding_one_replica_remaps_at_most_2_over_n(
         n in 3usize..=8,
-        vnodes in 32usize..=96,
-        seed in any::<u64>(),
         key_seed in any::<u64>(),
     ) {
-        let config = RingConfig { replication: 2, vnodes, seed };
-        let before = addrs(n);
-        let after = addrs(n + 1);
-        let old = Ring::new(&before, &config);
-        let new = Ring::new(&after, &config);
+        let old = Ring::new(&addrs(n));
+        let new = Ring::new(&addrs(n + 1));
         let keys = sample_keys(key_seed);
         let mut moved = 0usize;
         for &k in &keys {
-            let a = old.primary(k);
-            let b = new.primary(k);
+            let a = old.walk(k).first().copied();
+            let b = new.walk(k).first().copied();
             if a != b {
                 prop_assert_eq!(
                     b, Some(n),
@@ -58,25 +52,24 @@ proptest! {
     }
 
     /// Removing one replica remaps only the keys it owned (≤ 2/N of them);
-    /// every other key keeps its primary exactly.
+    /// every other key keeps its primary exactly, and every key's walk is
+    /// the old walk with the removed replica filtered out — the failover
+    /// order the router reads along while a replica is down.
     #[test]
     fn removing_one_replica_remaps_at_most_2_over_n(
         n in 4usize..=9,
-        vnodes in 32usize..=96,
-        seed in any::<u64>(),
         key_seed in any::<u64>(),
     ) {
-        let config = RingConfig { replication: 2, vnodes, seed };
-        let before = addrs(n);
-        let after = addrs(n - 1); // drop the last replica; indices stay stable
-        let removed = n - 1;
-        let old = Ring::new(&before, &config);
-        let new = Ring::new(&after, &config);
+        let removed = n - 1; // drop the last replica; indices stay stable
+        let old = Ring::new(&addrs(n));
+        let new = Ring::new(&addrs(n - 1));
         let keys = sample_keys(key_seed);
         let mut moved = 0usize;
         for &k in &keys {
-            let a = old.primary(k);
-            let b = new.primary(k);
+            let old_walk = old.walk(k);
+            let new_walk = new.walk(k);
+            let a = old_walk.first().copied();
+            let b = new_walk.first().copied();
             if a == Some(removed) {
                 moved += 1;
                 prop_assert_ne!(b, Some(removed));
@@ -86,6 +79,12 @@ proptest! {
                     "keys not owned by the removed replica must not move"
                 );
             }
+            let survivors: Vec<usize> =
+                old_walk.into_iter().filter(|&i| i != removed).collect();
+            prop_assert_eq!(
+                new_walk, survivors,
+                "removal must keep the survivors' failover order"
+            );
         }
         prop_assert!(
             moved <= 2 * keys.len() / n,
@@ -94,19 +93,16 @@ proptest! {
         );
     }
 
-    /// The full walk order (preference list plus failover tail) is
-    /// byte-identical across independent ring constructions.
+    /// The full walk order (primary plus failover tail) is byte-identical
+    /// across independent ring constructions.
     #[test]
     fn walk_order_is_stable_across_reconstruction(
         n in 2usize..=8,
-        vnodes in 1usize..=96,
-        seed in any::<u64>(),
         key in any::<u64>(),
     ) {
-        let config = RingConfig { replication: 2, vnodes, seed };
         let nodes = addrs(n);
-        let a = Ring::new(&nodes, &config);
-        let b = Ring::new(&nodes, &config);
+        let a = Ring::new(&nodes);
+        let b = Ring::new(&nodes);
         prop_assert_eq!(a.walk(key), b.walk(key));
     }
 }
@@ -117,7 +113,6 @@ proptest! {
 #[test]
 fn routing_is_byte_identical_across_thread_counts_and_restarts() {
     let nodes = addrs(5);
-    let config = RingConfig::default();
     let keys = sample_keys(0x5eed);
     let fingerprint = |ring: &Ring| -> Vec<u8> {
         let mut out = Vec::new();
@@ -129,14 +124,14 @@ fn routing_is_byte_identical_across_thread_counts_and_restarts() {
         }
         out
     };
-    let baseline = fingerprint(&Ring::new(&nodes, &config));
+    let baseline = fingerprint(&Ring::new(&nodes));
     // The env variable is parsed once per process, so mid-process budget
     // changes go through the kernels' test override hook.
     for threads in [1usize, 2, 8] {
         pc_kernels::set_auto_thread_override(Some(threads));
         // A fresh construction models a process restart under a different
         // thread budget.
-        let again = fingerprint(&Ring::new(&nodes, &config));
+        let again = fingerprint(&Ring::new(&nodes));
         assert_eq!(
             baseline, again,
             "kernel thread budget {threads} changed routing"

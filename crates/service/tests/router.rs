@@ -2,8 +2,8 @@
 //! fanned writes, transparent failover around a dead replica, journal
 //! replay healing a replica that restarted empty, replay dedup for a
 //! replica that never lost state, retraction of zero-ack writes, router
-//! auto-checkpoints, quorum shedding, and deterministic `ring.forward`
-//! fault injection.
+//! auto-checkpoints, shedding when no replica answers, and deterministic
+//! `ring.forward` fault injection.
 //!
 //! The fault registry is process-wide, so every test here serializes on one
 //! mutex: a `ring.forward` plan armed by one test must never fire on
@@ -34,10 +34,9 @@ fn start_replica() -> server::ServerHandle {
     server::start(ServerConfig::default()).unwrap()
 }
 
-fn router_over(replica_addrs: Vec<String>, quorum: bool) -> router::RouterHandle {
+fn router_over(replica_addrs: Vec<String>) -> router::RouterHandle {
     router::start(RouterConfig {
         replicas: replica_addrs,
-        quorum,
         probe_interval_ms: 10,
         retry_after_ms: 7,
         health: HealthPolicy {
@@ -115,7 +114,7 @@ fn routed_reads_fanned_writes_and_ring_status() {
         .iter()
         .map(|h| h.local_addr().to_string())
         .collect();
-    let rt = router_over(addrs, false);
+    let rt = router_over(addrs);
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
 
     for c in 0..5 {
@@ -127,7 +126,6 @@ fn routed_reads_fanned_writes_and_ring_status() {
 
     let status = ring_status(&mut client);
     assert_eq!(status.role, "router");
-    assert_eq!(status.replication, 2);
     assert_eq!(status.nodes.len(), 3);
     assert!(status.nodes.iter().all(|n| n.state == "up"), "{status:?}");
 
@@ -166,7 +164,7 @@ fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
         .iter()
         .map(|h| h.as_ref().unwrap().local_addr().to_string())
         .collect();
-    let rt = router_over(addrs.clone(), false);
+    let rt = router_over(addrs.clone());
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
 
     for c in 0..6 {
@@ -253,22 +251,18 @@ fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
 }
 
 #[test]
-fn quorum_sheds_busy_when_below_two_replicas() {
+fn reads_shed_busy_when_no_replica_answers() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
-    let b = start_replica();
-    let rt = router_over(
-        vec![a.local_addr().to_string(), b.local_addr().to_string()],
-        true,
-    );
+    let rt = router_over(vec![a.local_addr().to_string()]);
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
 
     characterize(&mut client, 0);
     expect_match(&mut client, 0);
 
-    b.shutdown_and_wait().unwrap();
-    // With one replica left the read quorum is unreachable: the router
-    // sheds with busy + the configured hint instead of erroring.
+    a.shutdown_and_wait().unwrap();
+    // With no replica left to answer, the router sheds with busy + the
+    // configured hint instead of erroring.
     let shed = wait_until(10, || {
         matches!(
             client
@@ -279,11 +273,13 @@ fn quorum_sheds_busy_when_below_two_replicas() {
             Response::Busy { retry_after_ms: 7 }
         )
     });
-    assert!(shed, "quorum loss must shed with busy + retry_after_ms");
+    assert!(
+        shed,
+        "losing every replica must shed with busy + retry_after_ms"
+    );
     assert!(ring_status(&mut client).sheds > 0);
 
     rt.shutdown_and_wait().unwrap();
-    a.shutdown_and_wait().unwrap();
 }
 
 #[test]
@@ -291,10 +287,7 @@ fn heal_skips_entries_the_replica_already_applied() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
     let b = start_replica();
-    let rt = router_over(
-        vec![a.local_addr().to_string(), b.local_addr().to_string()],
-        false,
-    );
+    let rt = router_over(vec![a.local_addr().to_string(), b.local_addr().to_string()]);
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
 
     let write = |client: &mut ServiceClient| match client
@@ -381,7 +374,7 @@ fn heal_skips_entries_the_replica_already_applied() {
 fn shed_write_is_retracted_not_replayed() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
-    let rt = router_over(vec![a.local_addr().to_string()], false);
+    let rt = router_over(vec![a.local_addr().to_string()]);
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
 
     // Veto the only replica's forward: zero acknowledgements, so the
@@ -484,7 +477,7 @@ fn forward_faults_fail_over_deterministically() {
         .iter()
         .map(|h| h.local_addr().to_string())
         .collect();
-    let rt = router_over(addrs, false);
+    let rt = router_over(addrs);
     let mut client = ServiceClient::connect(rt.local_addr()).unwrap();
     characterize(&mut client, 0);
 

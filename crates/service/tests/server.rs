@@ -202,21 +202,20 @@ fn malformed_requests_do_not_kill_the_connection() {
 
 #[test]
 fn oversized_frames_are_refused() {
-    let config = ServerConfig {
-        max_frame_bytes: 256,
-        ..test_config()
-    };
-    let handle = server::start(config).unwrap();
-    let mut client = ServiceClient::connect(handle.local_addr()).unwrap();
-    // ~60 multi-digit positions render well past 256 bytes.
-    let big = Request::Identify {
-        errors: es(&chip_bits(100)),
-    };
-    let seq = client.send(&big).unwrap();
-    let (got_seq, resp) = client.recv().unwrap();
-    assert_eq!(got_seq, 0, "frame-level failures are uncorrelated");
+    use std::io::Write;
+    use std::net::TcpStream;
+    let handle = server::start(test_config()).unwrap();
+    // A length prefix one byte over the cap, with no payload behind it: the
+    // server refuses on the prefix alone (the codec checks the cap before
+    // buffering anything), answering an uncorrelated error.
+    let mut raw = TcpStream::connect(handle.local_addr()).unwrap();
+    raw.write_all(&(pc_service::MAX_FRAME_BYTES + 1).to_be_bytes())
+        .unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let frame = pc_service::read_frame(&mut reader, pc_service::MAX_FRAME_BYTES).unwrap();
+    let (seq, resp) = pc_service::decode_response(&frame).unwrap();
+    assert_eq!(seq, 0, "frame-level failures are uncorrelated");
     assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
-    let _ = seq;
     handle.shutdown_and_wait().unwrap();
 }
 

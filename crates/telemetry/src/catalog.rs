@@ -1,11 +1,11 @@
-//! The metric catalog: every counter, span, and value-histogram name the
-//! workspace is allowed to emit, in sorted order.
+//! The metric catalog: every counter and span name the workspace is
+//! allowed to emit, in sorted order.
 //!
 //! `pc analyze` cross-checks each list in both directions (W002/W003):
-//! a `counter!("…")` / `time!("…")` / `histogram!("…")` site whose name is
-//! missing here fails analysis, and a name declared here that no site
-//! references fails too — the catalog can neither rot nor drift. Keep the
-//! lists sorted; the tests below pin that.
+//! a `counter!("…")` / `time!("…")` site whose name is missing here fails
+//! analysis, and a name declared here that no site references fails too —
+//! the catalog can neither rot nor drift. Keep the lists sorted; the tests
+//! below pin that.
 
 /// Every counter name referenced by a `counter!` site outside test code.
 pub const COUNTERS: &[&str] = &[
@@ -78,7 +78,6 @@ pub const COUNTERS: &[&str] = &[
     "service.ring.node_up",
     "service.ring.probe_failures",
     "service.ring.probes",
-    "service.ring.quorum_mismatches",
     "service.ring.replayed",
     "service.ring.sheds",
     "service.save.failed",
@@ -115,24 +114,6 @@ pub const SPANS: &[&str] = &[
     "service.store.score",
 ];
 
-/// Every value-histogram name referenced by a `histogram!` site outside
-/// test code. The `service.op.*` family holds per-op request latency in
-/// nanoseconds, recorded by `pc_telemetry::trace` and exposed over the wire
-/// by the `metrics` frame.
-pub const HISTOGRAMS: &[&str] = &[
-    "service.op.characterize.latency_ns",
-    "service.op.cluster_ingest.latency_ns",
-    "service.op.identify.latency_ns",
-    "service.op.metrics.latency_ns",
-    "service.op.ping.latency_ns",
-    "service.op.replay.latency_ns",
-    "service.op.ring_status.latency_ns",
-    "service.op.save.latency_ns",
-    "service.op.shutdown.latency_ns",
-    "service.op.stats.latency_ns",
-    "service.op.trace_dump.latency_ns",
-];
-
 /// Whether `name` is a catalogued counter.
 pub fn is_declared(name: &str) -> bool {
     COUNTERS.binary_search(&name).is_ok()
@@ -141,11 +122,6 @@ pub fn is_declared(name: &str) -> bool {
 /// Whether `name` is a catalogued span.
 pub fn is_declared_span(name: &str) -> bool {
     SPANS.binary_search(&name).is_ok()
-}
-
-/// Whether `name` is a catalogued value histogram.
-pub fn is_declared_histogram(name: &str) -> bool {
-    HISTOGRAMS.binary_search(&name).is_ok()
 }
 
 #[cfg(test)]
@@ -163,7 +139,6 @@ mod tests {
     fn catalog_is_sorted_and_unique() {
         assert_sorted_unique(COUNTERS, "COUNTERS");
         assert_sorted_unique(SPANS, "SPANS");
-        assert_sorted_unique(HISTOGRAMS, "HISTOGRAMS");
     }
 
     #[test]
@@ -172,7 +147,5 @@ mod tests {
         assert!(!is_declared("core.distance.bogus"));
         assert!(is_declared_span("service.decode"));
         assert!(!is_declared_span("service.bogus"));
-        assert!(is_declared_histogram("service.op.identify.latency_ns"));
-        assert!(!is_declared_histogram("service.op.bogus"));
     }
 }

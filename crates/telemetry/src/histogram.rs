@@ -13,7 +13,6 @@
 
 use crate::json::{JsonObject, JsonValue};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Number of buckets: 16 exact + 60 octaves × 16 sub-buckets.
 pub const BUCKETS: usize = 976;
@@ -237,56 +236,6 @@ impl HistogramSnapshot {
             }
         }
         obj
-    }
-}
-
-/// A call-site handle to a named value histogram, designed to live in a
-/// `static` (see the [`histogram!`](crate::histogram) macro).
-///
-/// Mirrors [`CounterHandle`](crate::CounterHandle): the first recording after
-/// the collector is installed resolves the name in the registry and caches
-/// the reference. While no collector is installed, [`record`](Self::record)
-/// is one atomic load and a branch — no clock, no lock, no allocation.
-#[derive(Debug)]
-pub struct HistogramHandle {
-    name: &'static str,
-    resolved: OnceLock<&'static Histogram>,
-}
-
-impl HistogramHandle {
-    /// A handle to the value histogram named `name`.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            resolved: OnceLock::new(),
-        }
-    }
-
-    /// The histogram's registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one observation; no-op when telemetry is not installed.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if let Some(collector) = crate::global() {
-            self.resolved
-                .get_or_init(|| collector.histogram(self.name))
-                .record(v);
-        }
-    }
-
-    /// Snapshot of the histogram, or an empty snapshot when telemetry is not
-    /// installed.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        match crate::global() {
-            Some(collector) => self
-                .resolved
-                .get_or_init(|| collector.histogram(self.name))
-                .snapshot(),
-            None => HistogramSnapshot::empty(),
-        }
     }
 }
 

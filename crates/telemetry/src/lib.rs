@@ -55,7 +55,7 @@ pub mod span;
 pub mod trace;
 
 pub use counter::{Counter, CounterHandle};
-pub use histogram::{Histogram, HistogramHandle, HistogramSnapshot};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use json::{parse as parse_json, JsonObject, JsonParseError, JsonValue};
 pub use manifest::RunManifest;
 pub use span::{Span, SpanHandle};
@@ -75,7 +75,6 @@ use std::time::Instant;
 /// cache the resolved metric, so steady-state recording takes no locks.
 pub struct Collector {
     counters: RwLock<BTreeMap<&'static str, &'static Counter>>,
-    value_hists: RwLock<BTreeMap<&'static str, &'static Histogram>>,
     span_hists: RwLock<BTreeMap<&'static str, &'static Histogram>>,
     sink: Mutex<Option<EventSink>>,
     epoch: Instant,
@@ -117,7 +116,6 @@ impl Collector {
     fn new() -> Self {
         Self {
             counters: RwLock::new(BTreeMap::new()),
-            value_hists: RwLock::new(BTreeMap::new()),
             span_hists: RwLock::new(BTreeMap::new()),
             sink: Mutex::new(None),
             epoch: Instant::now(),
@@ -134,25 +132,13 @@ impl Collector {
             .or_insert_with(|| Box::leak(Box::new(Counter::new())))
     }
 
-    /// Registers (or finds) the value histogram named `name`.
-    pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        Self::intern_hist(&self.value_hists, name)
-    }
-
     /// Registers (or finds) the span-duration histogram named `name`.
     /// Durations are recorded in nanoseconds.
     pub fn span_histogram(&self, name: &'static str) -> &'static Histogram {
-        Self::intern_hist(&self.span_hists, name)
-    }
-
-    fn intern_hist(
-        map: &RwLock<BTreeMap<&'static str, &'static Histogram>>,
-        name: &'static str,
-    ) -> &'static Histogram {
-        if let Some(h) = map.read().get(name) {
+        if let Some(h) = self.span_hists.read().get(name) {
             return h;
         }
-        let mut map = map.write();
+        let mut map = self.span_hists.write();
         map.entry(name)
             .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
     }
@@ -192,21 +178,11 @@ impl Collector {
             .collect()
     }
 
-    /// Point-in-time snapshot of every value histogram, keyed by name.
-    pub fn histograms_snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
-        Self::snap(&self.value_hists)
-    }
-
     /// Point-in-time snapshot of every span-duration histogram (ns), keyed
     /// by span name.
     pub fn spans_snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
-        Self::snap(&self.span_hists)
-    }
-
-    fn snap(
-        map: &RwLock<BTreeMap<&'static str, &'static Histogram>>,
-    ) -> BTreeMap<String, HistogramSnapshot> {
-        map.read()
+        self.span_hists
+            .read()
             .iter()
             .map(|(name, h)| (name.to_string(), h.snapshot()))
             .collect()
@@ -234,18 +210,5 @@ macro_rules! time {
     ($name:expr) => {{
         static __PC_SPAN: $crate::SpanHandle = $crate::SpanHandle::new($name);
         __PC_SPAN.enter()
-    }};
-}
-
-/// The call site's value histogram (a static handle is created per call
-/// site). Like [`counter!`], names must be declared in the catalog
-/// ([`catalog::HISTOGRAMS`]) — `pc analyze` cross-checks both directions.
-///
-/// A single atomic load + branch when telemetry is not installed.
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static __PC_HIST: $crate::HistogramHandle = $crate::HistogramHandle::new($name);
-        &__PC_HIST
     }};
 }

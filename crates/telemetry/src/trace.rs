@@ -193,11 +193,6 @@ impl TraceBuilder {
         self.lap = now;
     }
 
-    /// Restarts the lap clock without attributing the elapsed time.
-    pub fn reset_lap(&mut self) {
-        self.lap = Instant::now();
-    }
-
     /// Nanoseconds attributed to `stage` so far.
     pub fn stage_ns(&self, stage: Stage) -> u64 {
         self.stages_ns[stage.index()]
@@ -320,34 +315,10 @@ impl FlightRecorder {
     }
 }
 
-/// Records a request's total latency into the catalogued per-op value
-/// histogram for `op`. No-op for unknown ops or when telemetry is not
-/// installed.
-pub fn record_op_latency(op: &str, ns: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    match op {
-        "ping" => crate::histogram!("service.op.ping.latency_ns").record(ns),
-        "identify" => crate::histogram!("service.op.identify.latency_ns").record(ns),
-        "characterize" => crate::histogram!("service.op.characterize.latency_ns").record(ns),
-        "cluster-ingest" => crate::histogram!("service.op.cluster_ingest.latency_ns").record(ns),
-        "stats" => crate::histogram!("service.op.stats.latency_ns").record(ns),
-        "save" => crate::histogram!("service.op.save.latency_ns").record(ns),
-        "shutdown" => crate::histogram!("service.op.shutdown.latency_ns").record(ns),
-        "metrics" => crate::histogram!("service.op.metrics.latency_ns").record(ns),
-        "trace-dump" => crate::histogram!("service.op.trace_dump.latency_ns").record(ns),
-        "ring-status" => crate::histogram!("service.op.ring_status.latency_ns").record(ns),
-        "replay" => crate::histogram!("service.op.replay.latency_ns").record(ns),
-        _ => {}
-    }
-}
-
 /// The serving tier's tracing aggregation point.
 ///
 /// Owned by the server (not the global collector) so `metrics` frames work
-/// even when no telemetry sink is installed; per-op recordings are mirrored
-/// into the global collector's catalogued histograms when one is.
+/// even when no telemetry sink is installed.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
@@ -388,11 +359,6 @@ impl Tracer {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The configured slow-request threshold in nanoseconds, if any.
-    pub fn slow_threshold_ns(&self) -> Option<u64> {
-        self.slow_ns
     }
 
     /// Starts a trace for request `seq` on connection `conn`, seeding the
@@ -446,7 +412,6 @@ impl Tracer {
         if let Some(hist) = self.ops.get(trace.op) {
             hist.record(trace.total_ns);
         }
-        record_op_latency(trace.op, trace.total_ns);
         trace.slow = self.slow_ns.is_some_and(|ns| trace.total_ns >= ns);
         let slow = trace.slow;
         let fields = slow.then(|| trace.to_event_fields());

@@ -149,7 +149,7 @@ fn counters_survive_a_concurrent_hammer() {
 #[test]
 fn histogram_loses_nothing_under_contention() {
     let collector = pc_telemetry::install();
-    let hist = collector.histogram("test.hammer.hist");
+    let hist = collector.span_histogram("test.hammer.hist");
     let before = hist.count();
     std::thread::scope(|s| {
         for t in 0..THREADS {

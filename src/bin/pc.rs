@@ -29,31 +29,27 @@
 //!     server in `ring-status` output when it serves behind `pc route`.
 //!
 //! pc route --replica HOST:PORT [--replica HOST:PORT ...] [--addr HOST:PORT]
-//!          [--replication R] [--vnodes V] [--seed N] [--quorum]
 //!          [--retry-after-ms MS] [--checkpoint-every N]
 //!          [--probe-interval-ms MS] [--timeout-ms MS]
 //!          [--slow-ms MS] [--flight-recorder-len N] [--no-trace]
 //!          [--faults SPEC] [--watch-stdin]
 //!     Run the routing tier in front of N replica servers. Reads route by
-//!     the query's content key along a deterministic consistent-hash ring
+//!     the query's content key along a deterministic rendezvous ranking
 //!     and fail over to the next live replica; writes fan out to every
 //!     live replica with a per-replica pending-write journal replayed when
 //!     a dead replica rejoins (sequence-tagged, so rejoining replicas skip
 //!     entries they already applied). Journals truncate at checkpoints:
 //!     client saves, or router-initiated once a live journal reaches
-//!     --checkpoint-every pending entries (0 disables). --quorum requires
-//!     two replicas to agree on each identify (disagreements count
-//!     `service.ring.quorum_mismatches` and resolve deterministically).
-//!     When no replica — or, with --quorum, no read quorum — is reachable,
-//!     the router sheds with `busy` + --retry-after-ms instead of
-//!     erroring. Replica health is probed every --probe-interval-ms with
+//!     --checkpoint-every pending entries (0 disables). When no replica is
+//!     reachable, the router sheds with `busy` + --retry-after-ms instead
+//!     of erroring. Replica health is probed every --probe-interval-ms with
 //!     capped-exponential backoff toward down replicas.
 //!
 //! pc ring-status --addr HOST:PORT [--json] [--timeout-ms MS]
-//!     One `ring-status` request: the router's ring geometry, failover /
-//!     quorum-mismatch / shed / replay counters, and per-replica health
-//!     (state, pending journal depth, failures). Against a plain server
-//!     it reports role "replica" and its identity.
+//!     One `ring-status` request: the router's failover / shed / replay
+//!     counters and per-replica health (state, pending journal depth,
+//!     failures). Against a plain server it reports role "replica" and its
+//!     identity.
 //!
 //! pc query [--timeout-ms MS] [--retries N] [--backoff-ms MS]
 //!          --addr HOST:PORT ping|stats|metrics|trace-dump|save|shutdown
@@ -103,7 +99,7 @@ use probable_cause_repro::prelude::*;
 use probable_cause_repro::service::protocol::{Request, Response};
 use probable_cause_repro::service::server::{self, ServerConfig};
 use probable_cause_repro::service::{
-    ring, router, ConnectOptions, RetryPolicy, ServiceClient, StoreConfig,
+    router, ConnectOptions, RetryPolicy, ServiceClient, StoreConfig,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -182,8 +178,7 @@ fn print_usage() {
          \x20                [--slow-ms MS] [--flight-recorder-len N] [--no-trace]\n\
          \x20                [--faults SPEC] [--watch-stdin] [--replica-id NAME]\n\
          \x20 pc route       --replica HOST:PORT [--replica HOST:PORT ...]\n\
-         \x20                [--addr HOST:PORT] [--replication R] [--vnodes V]\n\
-         \x20                [--seed N] [--quorum] [--retry-after-ms MS]\n\
+         \x20                [--addr HOST:PORT] [--retry-after-ms MS]\n\
          \x20                [--checkpoint-every N] [--probe-interval-ms MS]\n\
          \x20                [--timeout-ms MS]\n\
          \x20                [--slow-ms MS] [--flight-recorder-len N] [--no-trace]\n\
@@ -448,10 +443,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_route(args: &[String]) -> Result<(), String> {
     let (addr, rest) = take_optional_flag(args, "--addr")?;
     let (replicas, rest) = take_repeated_flag(&rest, "--replica")?;
-    let (replication, rest) = take_optional_flag(&rest, "--replication")?;
-    let (vnodes, rest) = take_optional_flag(&rest, "--vnodes")?;
-    let (seed, rest) = take_optional_flag(&rest, "--seed")?;
-    let (quorum, rest) = take_switch(&rest, "--quorum");
     let (retry_after, rest) = take_optional_flag(&rest, "--retry-after-ms")?;
     let (checkpoint_every, rest) = take_optional_flag(&rest, "--checkpoint-every")?;
     let (probe_interval, rest) = take_optional_flag(&rest, "--probe-interval-ms")?;
@@ -475,21 +466,9 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         println!("fault injection armed: {spec}");
     }
 
-    let mut ring_config = ring::RingConfig::default();
-    if let Some(r) = replication {
-        ring_config.replication = r.parse().map_err(|_| format!("bad --replication {r:?}"))?;
-    }
-    if let Some(v) = vnodes {
-        ring_config.vnodes = v.parse().map_err(|_| format!("bad --vnodes {v:?}"))?;
-    }
-    if let Some(s) = seed {
-        ring_config.seed = s.parse().map_err(|_| format!("bad --seed {s:?}"))?;
-    }
     let mut config = router::RouterConfig {
         addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
         replicas,
-        ring: ring_config,
-        quorum,
         ..router::RouterConfig::default()
     };
     if let Some(ms) = retry_after {
@@ -525,10 +504,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let replica_count = config.replicas.len();
     let handle = router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
     println!("pc-route listening on {}", handle.local_addr());
-    println!(
-        "{replica_count} replica(s), quorum reads {}; send a `shutdown` request to stop",
-        if quorum { "on" } else { "off" }
-    );
+    println!("{replica_count} replica(s); send a `shutdown` request to stop");
     std::io::stdout().flush().ok();
 
     if watch_stdin {
@@ -779,12 +755,7 @@ fn print_response(response: Response) -> Result<(), String> {
         Response::RingStatus(s) => {
             println!("role:              {}", s.role);
             println!("id:                {}", s.id);
-            println!("replication:       {}", s.replication);
-            println!("vnodes:            {}", s.vnodes);
-            println!("seed:              {:#x}", s.seed);
-            println!("quorum reads:      {}", if s.quorum { "on" } else { "off" });
             println!("failovers:         {}", s.failovers);
-            println!("quorum mismatches: {}", s.quorum_mismatches);
             println!("sheds:             {}", s.sheds);
             println!("entries replayed:  {}", s.replayed);
             if !s.nodes.is_empty() {
